@@ -403,10 +403,7 @@ def main(argv=None) -> int:
         os.makedirs(config.out, exist_ok=True)
         _DISPATCH[config.command](config)
         _write_manifest(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except UsageError as exc:
+    except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DataError, FileNotFoundError, OSError) as exc:

@@ -1,11 +1,16 @@
-"""Search over the four nonlinear parameters (beta, omega, t2c, phi).
+"""Search over the nonlinear parameters (beta, omega, t2c, phi).
 
-The search recursively partitions the (beta, omega) seed box: run an
-unbounded Nelder-Mead simplex from the box midpoint, span a hypercube in
-(beta, omega) between the seed and its solution, then recurse into the
-space below and above that hypercube on each dimension while at least the
-minimum width remains. Every simplex solution is collected, canonicalized,
-deduplicated, and ranked by RMSE.
+The phase is solved in closed form with the linear parameters (see
+`lppl`), so each simplex runs over (beta, omega, t2c) only. The search
+recursively partitions the (beta, omega) seed box: run an unbounded
+Nelder-Mead simplex from the box midpoint in (beta, omega, t2c), span a
+hypercube in (beta, omega) between the seed and its solution, then
+recurse into the space below and above that hypercube on each dimension
+while at least the minimum width remains. Each solution takes phi from
+atan2 at its point; every solution is collected, canonicalized,
+deduplicated, and ranked by RMSE. The phi seed bounds only set the phase
+of the reported `seed_used`, the midpoint of the seed box in all four
+parameters.
 
 Canonical form: omega >= 0 and phi in [0, pi). A negative omega maps
 through cos(-w*x + p) = cos(w*x - p), and a phase in [pi, 2*pi) drops by
@@ -26,9 +31,9 @@ from .errors import UsageError
 from .lppl import (
     FitDiagnostics,
     LpplParams,
+    linear_completion,
     monotonicity_check,
     raw_index_validity,
-    solve_linear_fast,
     window_objective,
 )
 from .series import Scale
@@ -63,7 +68,10 @@ class PrecursorRanges:
 
 @dataclass(frozen=True)
 class SearchBounds:
-    """Seed bounds for the four parameters and the recursion minimum widths."""
+    """Seed bounds for the four parameters and the recursion minimum widths.
+
+    The simplex runs over (beta, omega, t2c); the phi bounds only set the
+    phase of each reported seed box midpoint."""
 
     lower: tuple[float, float, float, float] = (0.0, 0.0, 1.0, 0.0)
     upper: tuple[float, float, float, float] = (2.0, 20.0, 260.0, math.pi)
@@ -250,15 +258,8 @@ def _boundary_warnings(beta: float, omega: float,
     return tuple(notes)
 
 
-class _SeedOutcome(NamedTuple):
-    x: np.ndarray
-    value: float
-    evaluations: int
-    converged: bool
-
-
 def _search_from_seed(objective, seed, x_tol, f_tol,
-                      settings: SearchSettings) -> _SeedOutcome:
+                      settings: SearchSettings) -> NelderMeadResult:
     """One simplex run plus restart polishing, within the per-seed budget."""
     best = nelder_mead(objective, seed, x_tol=x_tol, f_tol=f_tol,
                        max_evals=settings.max_evals,
@@ -277,12 +278,12 @@ def _search_from_seed(objective, seed, x_tol, f_tol,
             best = rerun
         if improvement <= f_tol:
             break
-    return _SeedOutcome(best.x, best.value, total, best.converged)
+    return best._replace(evaluations=total)
 
 
 def _fit_tolerances(window: BubbleWindow, bounds: SearchBounds,
                     settings: SearchSettings):
-    widths = np.asarray(bounds.upper) - np.asarray(bounds.lower)
+    widths = np.asarray(bounds.upper[:3]) - np.asarray(bounds.lower[:3])
     x_tol = settings.x_tol_rel * widths
     scale = float(np.std(window.values))
     f_tol = settings.f_tol_rel * (scale if scale > 0.0 else 1.0)
@@ -291,13 +292,10 @@ def _fit_tolerances(window: BubbleWindow, bounds: SearchBounds,
 
 def _linear_for_fit(window: BubbleWindow, theta):
     """Linear completion along the exact code path the objective used."""
-    solved = solve_linear_fast(window, theta)
+    solved = linear_completion(window, theta)
     if solved is None:
         raise UsageError(f"linear sub-problem is degenerate at {tuple(theta)}")
-    a, b, d, _ = solved
-    b_floor = 1e-12 * max(float(np.max(np.abs(window.values))), 1e-12)
-    c = 0.0 if abs(b) < b_floor else d / b
-    return a, b, c
+    return solved[:3]
 
 
 def _build_result(window: BubbleWindow, theta, value: float, seed, evals: int,
@@ -361,13 +359,12 @@ def recursive_seed_search(
         validity = raw_index_validity(window)
     x_tol, f_tol = _fit_tolerances(window, bounds, settings)
 
-    solutions: list[tuple] = []
+    solutions: list[tuple[NelderMeadResult, tuple]] = []
 
     def search(lo: np.ndarray, up: np.ndarray) -> None:
         seed = (lo + up) / 2.0
-        outcome = _search_from_seed(objective, seed, x_tol, f_tol, settings)
-        solutions.append((outcome.x, outcome.value, tuple(seed),
-                          outcome.evaluations, outcome.converged))
+        outcome = _search_from_seed(objective, seed[:3], x_tol, f_tol, settings)
+        solutions.append((outcome, tuple(seed)))
         bottom = np.minimum(seed[:2], outcome.x[:2])
         top = np.maximum(seed[:2], outcome.x[:2])
         min_widths = (bounds.min_width_beta, bounds.min_width_omega)
@@ -384,16 +381,20 @@ def recursive_seed_search(
     search(np.asarray(bounds.lower, dtype=float),
            np.asarray(bounds.upper, dtype=float))
 
-    # report each solution at its canonical point; the curve is unchanged
-    # but the objective is re-evaluated there so value and parameters stay
-    # consistent (solutions whose basis is numerically degenerate after
-    # the ulp-level phase shift are dropped)
+    # report each solution at its canonical point, with the phase solved
+    # there; the curve is unchanged but the objective is re-evaluated so
+    # value and parameters stay consistent (solutions whose basis is
+    # numerically degenerate after the ulp-level phase shift are dropped)
     entries = []
-    for x, _, seed, evals, conv in solutions:
-        theta = canonicalize_theta(x)
+    for outcome, seed in solutions:
+        solved = linear_completion(window, outcome.x)
+        if solved is None:
+            continue
+        theta = canonicalize_theta((*outcome.x, solved[3]))
         value = objective(theta)
         if math.isfinite(value):
-            entries.append((value, theta, seed, evals, conv))
+            entries.append((value, theta, seed, outcome.evaluations,
+                            outcome.converged))
     entries.sort(key=lambda e: (e[0], e[1]))
     kept: list[tuple] = []
     for entry in entries:

@@ -11,6 +11,13 @@ Given the four nonlinear parameters (beta, omega, t2c, phi), the three
 linear ones (a, b, c) have a closed-form least-squares solution through
 the substitution d = b * c: regress y on {1, f, g} with f = (tc-t)^beta
 and g = f * cos(omega * ln(tc-t) + phi).
+
+Given only (beta, omega, t2c), the phase is linear too (Filimonov &
+Sornette 2013): b c f cos(omega ln(tc-t) + phi) equals
+C1 f cos(omega ln(tc-t)) + C2 f sin(omega ln(tc-t)), so regress y on
+{1, f, f cos(omega ln(tc-t)), f sin(omega ln(tc-t))} and recover
+phi = atan2(-C2, C1) and b c = hypot(C1, C2). The fitter's simplex runs
+over these three parameters; both regressions share one kernel.
 """
 
 from __future__ import annotations
@@ -30,7 +37,10 @@ from .series import Scale
 TWO_PI = 2.0 * math.pi
 
 _BASIS_NAMES = ("constant", "power", "oscillation")
-_COND_LIMIT = 1e12
+# a point is inadmissible when the column-normalized Gram has a determinant
+# at most _DET_MIN, or when its Gram sums could exceed exp(_EXP_MAX)
+_DET_MIN = 1e-13
+_EXP_MAX = 700.0
 
 
 @dataclass(frozen=True)
@@ -117,16 +127,12 @@ def _days_to_critical(params: LpplParams, t: dt.date) -> float:
 
 def lppl_value(params: LpplParams, t: dt.date) -> float:
     """Model value on day `t` (must precede the critical time)."""
-    gap = _days_to_critical(params, t)
-    if gap <= 0.0:
-        raise ValueError(f"{t.isoformat()} is not before the critical time")
-    return params.a + params.b * gap**params.beta * (
-        1.0 + params.c * math.cos(params.omega * math.log(gap) + params.phi)
-    )
+    return float(lppl_curve(params, [t])[0])
 
 
 def lppl_curve(params: LpplParams, dates) -> np.ndarray:
-    """Vectorized `lppl_value` over a date sequence."""
+    """Model values over a date sequence; every date must precede the
+    critical time."""
     gaps = np.array([_days_to_critical(params, d) for d in dates], dtype=float)
     if len(gaps) and gaps.min() <= 0.0:
         bad = dates[int(np.argmin(gaps))]
@@ -136,31 +142,6 @@ def lppl_curve(params: LpplParams, dates) -> np.ndarray:
     )
 
 
-def _basis(ages: np.ndarray, beta: float, omega: float, t2c: float,
-           phi: float) -> tuple[np.ndarray, np.ndarray]:
-    gaps = t2c + ages
-    f = gaps**beta
-    g = f * np.cos(omega * np.log(gaps) + phi)
-    return f, g
-
-
-def _solve_linear(y: np.ndarray, f: np.ndarray, g: np.ndarray):
-    """Least-squares (a, b, d) for y ~ a + b*f + d*g, plus the SSE.
-
-    Columns are normalized before forming the Gram matrix so wildly
-    scaled bases (f can reach 1e10 for large beta) stay solvable.
-    Returns the scaled Gram matrix as well, for conditioning diagnostics.
-    """
-    design = np.column_stack((np.ones_like(y), f, g))
-    norms = np.sqrt(np.einsum("ij,ij->j", design, design))
-    norms[norms == 0.0] = 1.0
-    scaled = design / norms
-    gram = scaled.T @ scaled
-    coef = np.linalg.solve(gram, scaled.T @ y) / norms
-    resid = y - design @ coef
-    return coef, float(resid @ resid), gram
-
-
 class LinearParams(NamedTuple):
     a: float
     b: float
@@ -168,145 +149,210 @@ class LinearParams(NamedTuple):
     c_degenerate: bool
 
 
-def linear_solve(beta: float, omega: float, t2c: float, phi: float,
-                 window: BubbleWindow) -> LinearParams:
-    """Best (a, b, c) for fixed nonlinear parameters on a window.
-
-    When |b| falls below 1e-12 of the data scale, c is unidentifiable;
-    it is reported as 0 with the `c_degenerate` flag set. A rank-deficient
-    basis (e.g. beta = 0 makes the power column constant) raises
-    DegeneracyError naming the collinear pair.
-    """
-    if len(window) == 0:
-        raise UsageError("empty window")
-    ages = window.ages_days()
-    if t2c + ages.min() < 1.0:
-        raise UsageError("all observations must be at least 1 day before tc")
-    y = window.values
-    f, g = _basis(ages, beta, omega, t2c, phi)
-    try:
-        coef, _, gram = _solve_linear(y, f, g)
-    except np.linalg.LinAlgError:
-        coef, gram = None, _normalized_gram(y, f, g)
-    if coef is None or np.linalg.cond(gram) > _COND_LIMIT:
-        i, j = _most_collinear_pair(gram)
-        raise DegeneracyError(
-            f"basis columns {_BASIS_NAMES[i]!r} and {_BASIS_NAMES[j]!r} are collinear"
-        )
-    a, b, d = (float(x) for x in coef)
-    b_floor = 1e-12 * max(float(np.max(np.abs(y))), 1e-12)
-    if abs(b) < b_floor:
-        return LinearParams(a, b, 0.0, True)
-    return LinearParams(a, b, d / b, False)
-
-
-def _normalized_gram(y, f, g) -> np.ndarray:
-    design = np.column_stack((np.ones_like(y), f, g))
-    norms = np.sqrt(np.einsum("ij,ij->j", design, design))
-    norms[norms == 0.0] = 1.0
-    scaled = design / norms
-    return scaled.T @ scaled
-
-
-def _most_collinear_pair(gram: np.ndarray) -> tuple[int, int]:
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    return max(pairs, key=lambda p: abs(gram[p[0], p[1]]))
-
-
 class _WindowSolver:
-    """Preallocated least-squares state for repeated solves on one window.
+    """The least-squares kernel: preallocated state for repeated solves on
+    one window.
 
-    The normal equations are solved in column-normalized form by Cramer's
-    rule (the scaled Gram is 3x3 with unit diagonal), and the SSE comes
+    With phi given the design columns are {1, f, f cos(omega ln tau + phi)};
+    with phi solved they are {1, f, f cos(omega ln tau), f sin(omega ln tau)}.
+    The normal equations are solved in column-normalized form (the scaled
+    Gram has unit diagonal) by an LDL^T factorization, and the SSE comes
     from an explicit residual pass so near-perfect fits keep full
     precision. Buffers are reused across calls: bind one solver per
     thread when evaluating in parallel.
+
+    The b-floor is 1e-12 of the data scale. Below it c is unidentifiable
+    and reported as 0, which is exact only while the oscillation term
+    b c f stays below the floor as well.
+
+    A point is inadmissible, and `solve` returns None with the cause in
+    `failure`, when the Gram sums could overflow, when the scaled Gram's
+    determinant is at most _DET_MIN, or when |b| is below the b-floor
+    while the oscillation term's largest value |b c| max(f) is not.
     """
 
-    __slots__ = ("y", "ages", "n", "sy", "lg", "f", "g", "r")
+    __slots__ = ("y", "ages", "n", "log_n", "age_max", "b_floor", "lg", "r",
+                 "f", "cos", "sin", "systems", "failure")
 
     def __init__(self, y: np.ndarray, ages: np.ndarray):
         self.y = np.ascontiguousarray(y, dtype=float)
         self.ages = np.ascontiguousarray(ages, dtype=float)
         n = self.y.size
         self.n = float(n)
-        self.sy = float(self.y.sum())
+        self.log_n = math.log(n) if n else 0.0
+        self.age_max = float(self.ages.max()) if n else 0.0
+        self.b_floor = 1e-12 * max(float(np.max(np.abs(self.y))) if n else 0.0, 1e-12)
         self.lg = np.empty(n)
-        self.f = np.empty(n)
-        self.g = np.empty(n)
         self.r = np.empty(n)
+        design = np.empty((4, n))
+        design[0] = 1.0
+        self.f, self.cos, self.sin = design[1], design[2], design[3]
+        # per column count: (design rows, their transpose, Gram, X^T y, coefficients)
+        self.systems = {
+            k: (design[:k], design[:k].T, np.empty((k, k)), np.empty(k), np.empty(k))
+            for k in (3, 4)
+        }
+        self.failure = None
 
-    def solve(self, beta: float, omega: float, t2c: float, phi: float):
-        """(a, b, d, sse) minimizing the squared error, or None when the
-        point is numerically inadmissible."""
-        y, lg, f, g, r = self.y, self.lg, self.f, self.g, self.r
-        np.add(self.ages, t2c, out=r)      # gaps, >= 1 given t2c >= 1
-        np.log(r, out=lg)
-        # ages descend toward the anchor, so lg[0] is the largest exponent
-        if beta * lg[0] > 700.0:
-            return None
+    def solve(self, beta: float, omega: float, t2c: float, phi: float | None = None):
+        """(a, b, c, phi, sse) minimizing the squared error, or None when
+        the point is inadmissible. With phi None the phase is solved:
+        C1 f cos(omega ln tau) + C2 f sin(omega ln tau) is b c f cos(omega
+        ln tau + phi) with b c = hypot(C1, C2) and phi = atan2(-C2, C1)."""
+        # sum(f^2) <= n * exp(2 beta ln(max gap)) must stay finite
+        lg_max = math.log(t2c + self.age_max)
+        if not 2.0 * beta * lg_max + self.log_n <= _EXP_MAX:
+            return self._reject("overflow")
+        lg, r, f = self.lg, self.r, self.f
+        np.add(self.ages, t2c, out=lg)
+        np.log(lg, out=lg)
         np.multiply(lg, beta, out=f)
         np.exp(f, out=f)                   # f = gaps**beta
-        np.multiply(lg, omega, out=g)
-        g += phi
-        np.cos(g, out=g)
-        g *= f                             # g = f * cos(omega*ln(gaps) + phi)
+        np.multiply(lg, omega, out=r)
+        if phi is None:
+            np.cos(r, out=self.cos)
+            np.sin(r, out=self.sin)
+            self.sin *= f
+            k = 4
+        else:
+            r += phi
+            np.cos(r, out=self.cos)
+            k = 3
+        self.cos *= f
+        design, design_t, gram, xty, coef = self.systems[k]
+        np.dot(design, design_t, out=gram)
+        np.dot(design, self.y, out=xty)
+        g = gram.tolist()
+        q = xty.tolist()
 
-        sf = float(f.sum())
-        sg = float(g.sum())
-        sff = float(np.dot(f, f))
-        sfg = float(np.dot(f, g))
-        sgg = float(np.dot(g, g))
-        syf = float(np.dot(y, f))
-        syg = float(np.dot(y, g))
-        if not math.isfinite(sff + sgg + sfg + syf + syg):
-            return None
-        if sff <= 0.0 or sgg <= 0.0:
-            return None
+        # scale every column to unit norm (u are the norms) and factor the
+        # scaled Gram as L D L^T; with d0 = 1 its first column is L's
+        u0, u1, u2 = math.sqrt(g[0][0]), math.sqrt(g[1][1]), math.sqrt(g[2][2])
+        u3 = math.sqrt(g[3][3]) if k == 4 else 1.0
+        if not (u1 > 0.0 and u2 > 0.0 and u3 > 0.0):
+            return self._reject("collinear")
+        l10 = g[0][1] / (u0 * u1)
+        l20 = g[0][2] / (u0 * u2)
+        d1 = 1.0 - l10 * l10
+        if not d1 > _DET_MIN:
+            return self._reject("collinear")
+        l21 = (g[1][2] / (u1 * u2) - l20 * l10) / d1
+        d2 = 1.0 - l20 * l20 - l21 * l21 * d1
+        det = d1 * d2
+        if not det > _DET_MIN:
+            return self._reject("collinear")
+        z0 = q[0] / u0
+        z1 = q[1] / u1 - l10 * z0
+        z2 = q[2] / u2 - l20 * z0 - l21 * z1
+        l30 = l31 = l32 = x3 = 0.0
+        if k == 4:
+            l30 = g[0][3] / (u0 * u3)
+            l31 = (g[1][3] / (u1 * u3) - l30 * l10) / d1
+            l32 = (g[2][3] / (u2 * u3) - l30 * l20 - l31 * l21 * d1) / d2
+            d3 = 1.0 - l30 * l30 - l31 * l31 * d1 - l32 * l32 * d2
+            if not det * d3 > _DET_MIN:
+                return self._reject("collinear")
+            x3 = (q[3] / u3 - l30 * z0 - l31 * z1 - l32 * z2) / d3
+        x2 = z2 / d2 - l32 * x3
+        x1 = z1 / d1 - l21 * x2 - l31 * x3
+        x0 = z0 - l10 * x1 - l20 * x2 - l30 * x3
+        a, b, cos_coef = x0 / u0, x1 / u1, x2 / u2
 
-        u, v, w = math.sqrt(self.n), math.sqrt(sff), math.sqrt(sgg)
-        p = sf / (u * v)
-        q = sg / (u * w)
-        s = sfg / (v * w)
-        det = 1.0 + 2.0 * p * q * s - p * p - q * q - s * s
-        if not (det > 1e-13):
-            return None
-        b0, b1, b2 = self.sy / u, syf / v, syg / w
-        z0 = ((1 - s * s) * b0 + (q * s - p) * b1 + (p * s - q) * b2) / det
-        z1 = ((q * s - p) * b0 + (1 - q * q) * b1 + (p * q - s) * b2) / det
-        z2 = ((p * s - q) * b0 + (p * q - s) * b1 + (1 - p * p) * b2) / det
-        a, b, d = z0 / u, z1 / v, z2 / w
+        coef[0], coef[1], coef[2] = a, b, cos_coef
+        if k == 4:
+            sin_coef = x3 / u3
+            coef[3] = sin_coef
+            d, phi = math.hypot(cos_coef, sin_coef), math.atan2(-sin_coef, cos_coef)
+        else:
+            d = cos_coef
+        if abs(b) >= self.b_floor:
+            c = d / b
+        elif abs(d) * math.exp(max(beta, 0.0) * lg_max) < self.b_floor:
+            c = 0.0         # |b c f| <= |d| max(f) is negligible too
+        else:
+            return self._reject("b_floor")
 
-        f *= b
-        g *= d
-        np.subtract(y, f, out=r)
-        r -= g
-        r -= a
+        np.dot(coef, design, out=r)
+        np.subtract(self.y, r, out=r)
         sse = float(np.dot(r, r))
         if not math.isfinite(sse):
-            return None
-        return a, b, d, sse
+            return self._reject("overflow")
+        return a, b, c, phi, sse
 
-    def rmse_at(self, beta: float, omega: float, t2c: float, phi: float) -> float:
-        if not (t2c >= 1.0) or not (beta > 0.0) or not math.isfinite(phi):
+    def _reject(self, cause: str) -> None:
+        self.failure = cause
+        return None
+
+    def rmse_at(self, beta: float, omega: float, t2c: float,
+                phi: float | None = None) -> float:
+        """The objective: RMSE of `solve`, +inf outside the domain."""
+        if phi is not None:
+            if not math.isfinite(phi):
+                return math.inf
+            if omega < 0.0:
+                omega, phi = -omega, -phi
+        if not (t2c >= 1.0 and beta > 0.0 and math.isfinite(omega)):
             return math.inf
-        if omega < 0.0:
-            omega, phi = -omega, -phi
         solved = self.solve(beta, omega, t2c, phi)
         if solved is None:
             return math.inf
-        return math.sqrt(solved[3] / self.n)
+        return math.sqrt(solved[4] / self.n)
+
+
+def linear_completion(window: BubbleWindow, theta):
+    """(a, b, c, phi, sse) at one nonlinear point, on the objective's code
+    path, or None when the point is inadmissible. `theta` is
+    (beta, omega, t2c) with the phase solved, or (beta, omega, t2c, phi)."""
+    solver = _WindowSolver(window.values, window.ages_days())
+    return solver.solve(*(float(x) for x in theta))
+
+
+def linear_solve(beta: float, omega: float, t2c: float, phi: float,
+                 window: BubbleWindow) -> LinearParams:
+    """Best (a, b, c) for fixed nonlinear parameters on a window.
+
+    When |b| and |b*c| both fall below 1e-12 of the data scale, c is
+    unidentifiable; it is reported as 0 with the `c_degenerate` flag set.
+    A rank-deficient basis (e.g. beta = 0 makes the power column constant)
+    raises DegeneracyError naming the collinear pair, and so does a point
+    the kernel rejects for another cause.
+    """
+    if len(window) == 0:
+        raise UsageError("empty window")
+    ages = window.ages_days()
+    if t2c + ages.min() < 1.0:
+        raise UsageError("all observations must be at least 1 day before tc")
+    solver = _WindowSolver(window.values, ages)
+    solved = solver.solve(float(beta), float(omega), float(t2c), float(phi))
+    if solved is None:
+        if solver.failure == "collinear":
+            i, j = _most_collinear_pair(solver.systems[3][2])
+            raise DegeneracyError(
+                f"basis columns {_BASIS_NAMES[i]!r} and {_BASIS_NAMES[j]!r} are collinear"
+            )
+        raise DegeneracyError(f"linear sub-problem is inadmissible ({solver.failure})")
+    a, b, c, _, _ = solved
+    return LinearParams(a, b, c, abs(b) < solver.b_floor)
+
+
+def _most_collinear_pair(gram: np.ndarray) -> tuple[int, int]:
+    norms = np.sqrt(np.diag(gram))
+    norms[norms == 0.0] = 1.0
+    scaled = gram / np.outer(norms, norms)
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    return max(pairs, key=lambda p: abs(scaled[p]))
 
 
 def nonlinear_rmse(y: np.ndarray, ages: np.ndarray, beta: float, omega: float,
                    t2c: float, phi: float) -> float:
     """RMSE of the best linear completion at one nonlinear point.
 
-    This is the objective the simplex search minimizes and the quantity
-    sensitivity scans record. Inadmissible points (t2c < 1, beta <= 0, a
-    degenerate basis, numeric overflow) evaluate to +inf rather than
-    raising, which keeps the unbounded search well defined. Negative
-    omega is mapped through the exact identity
+    This is the phase-held objective that sensitivity scans record; with
+    the phase solved instead, it is what the simplex search minimizes.
+    Inadmissible points (t2c < 1, beta <= 0, a degenerate basis, numeric
+    overflow) evaluate to +inf rather than raising, which keeps the
+    unbounded search well defined. Negative omega is mapped through the
+    exact identity
     cos(-omega * x + phi) = cos(omega * x - phi).
     """
     return _WindowSolver(np.asarray(y, dtype=float),
@@ -314,21 +360,27 @@ def nonlinear_rmse(y: np.ndarray, ages: np.ndarray, beta: float, omega: float,
 
 
 def window_objective(window: BubbleWindow):
-    """Bind a window into the 4-vector objective used by the fitter and scans."""
-    solver = _WindowSolver(window.values, window.ages_days())
+    """Bind a window into the objective of the fitter and the scans.
+
+    The objective takes (beta, omega, t2c), and then solves the phase with
+    the linear parameters, or (beta, omega, t2c, phi) with the phase held.
+    """
+    rmse_at = _WindowSolver(window.values, window.ages_days()).rmse_at
 
     def objective(theta) -> float:
-        beta, omega, t2c, phi = (float(x) for x in theta)
-        return solver.rmse_at(beta, omega, t2c, phi)
+        return rmse_at(*theta)
 
     return objective
 
 
 def solve_linear_fast(window: BubbleWindow, theta):
-    """(a, b, d, sse) at one nonlinear point, on the objective's code path."""
-    solver = _WindowSolver(window.values, window.ages_days())
-    beta, omega, t2c, phi = (float(x) for x in theta)
-    return solver.solve(beta, omega, t2c, phi)
+    """(a, b, d, sse) with d = b * c at one nonlinear point, on the
+    objective's code path, or None when the point is inadmissible."""
+    solved = linear_completion(window, theta)
+    if solved is None:
+        return None
+    a, b, c, _, sse = solved
+    return a, b, b * c, sse
 
 
 def rmse(params: LpplParams, window: BubbleWindow) -> float:

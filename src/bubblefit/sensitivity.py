@@ -5,6 +5,12 @@ while the other three stay at the fitted values; the linear parameters
 are re-solved at every sample. This exposes how flat or spiky the error
 landscape is around the chosen optimum, and in particular how volatile
 it is in omega.
+
+A reoptimized scan re-searches the other parameters at every sample
+instead. Scanning beta, omega or t2c, the phase is solved in closed form
+with the linear parameters and a 2-D simplex runs over the remaining two
+of (beta, omega, t2c); scanning phi, a 3-D simplex runs over
+(beta, omega, t2c) with the phase held.
 """
 
 from __future__ import annotations
@@ -72,22 +78,24 @@ def scan_parameter(fit: FitResult, window: BubbleWindow, spec: ScanSpec,
 
     Samples where the objective is undefined (t2c below 1 day, a
     non-positive beta) are recorded as None rather than aborting the
-    scan. With `reoptimize` the other three nonlinear parameters are
-    re-searched at every sample instead of held fixed; that is a
-    strictly different question from the standard scan and is off by
-    default.
+    scan. With `reoptimize` the other nonlinear parameters are
+    re-searched at every sample instead of held fixed (the phase in
+    closed form unless it is the scanned one); that is a strictly
+    different question from the standard scan and is off by default.
     """
     objective = window_objective(window)
     theta = list(fit.params.theta())
     index = PARAMETER_INDEX[spec.parameter]
-    free = [i for i in range(4) if i != index]
+    # the phase is held only when it is the scanned parameter
+    size = 4 if reoptimize and index == 3 else 3
+    free = [i for i in range(size) if i != index]
 
     results: list[float | None] = []
     for value in spec.grid():
         point = list(theta)
         point[index] = float(value)
         if reoptimize:
-            r = _reoptimized_rmse(objective, point, index, free, settings)
+            r = _reoptimized_rmse(objective, point[:size], index, free, settings)
         else:
             r = objective(point)
         results.append(float(r) if math.isfinite(r) else None)

@@ -8,6 +8,7 @@ from bubblefit import (
     BubbleWindow,
     Classification,
     GeneratorSpec,
+    LpplParams,
     PrecursorRanges,
     Scale,
     SearchBounds,
@@ -205,6 +206,18 @@ class TestRecursiveSeedSearch:
 
     def test_function_evaluations_positive(self, noise_free_fits):
         assert all(f.function_evaluations > 0 for f in noise_free_fits)
+
+    def test_coarse_partition_escapes_the_beta_zero_valley(self):
+        # a weakly oscillating bubble whose coarse-partition search used to
+        # end in the beta -> 0 valley at RMSE 4.32; the planted minimum is
+        # at RMSE 0.4964
+        params = LpplParams(a=1000.0, b=-60.0, c=0.05, beta=0.33, omega=6.36,
+                            t2c=30.0, phi=3.58, anchor_date=dt.date(1997, 2, 21))
+        window = window_of(generate(GeneratorSpec(params, 300, 0.5, 504464362)))
+        report = fit_bubble(window, bounds=SearchBounds(min_width_beta=0.5,
+                                                        min_width_omega=5.0))
+        assert report.best.params.beta == pytest.approx(0.33, abs=0.05)
+        assert report.best.diagnostics.rmse <= 0.4964 * (1.0 + 1e-4)
 
 
 @pytest.fixture(scope="module")
