@@ -136,19 +136,26 @@ def nelder_mead(objective: Callable, seed, *, x_tol=1e-6, f_tol=1e-8,
     Terminates when the simplex diameter is within `x_tol` (scalar or
     per-dimension) on every coordinate AND the vertex value spread is
     within `f_tol`; hitting `max_evals` instead returns converged=False.
-    The objective may return +inf anywhere except at the seed.
+    The objective receives each point as a list of floats and may return
+    +inf anywhere except at the seed.
 
     `stall_evals`, when set, gives up (flagged unconverged) once the best
     value has not improved by more than `f_tol` within that many
     evaluations; it cuts off simplexes chasing an asymptotic valley with
     no finite minimizer.
+
+    The simplex is held as lists of floats: with three or four vertices,
+    numpy's per-operation overhead would cost more than the arithmetic.
+    Every formula keeps numpy's order of operations (the centroid sums
+    the vertices in order, then divides by the dimension), so the
+    trajectory is the same as with array rows, bit for bit.
     """
-    seed = np.asarray(seed, dtype=float)
-    ndim = seed.size
-    x_tol = np.broadcast_to(np.asarray(x_tol, dtype=float), (ndim,))
+    seed = np.asarray(seed, dtype=float).ravel().tolist()
+    ndim = len(seed)
+    x_tol = np.broadcast_to(np.asarray(x_tol, dtype=float), (ndim,)).tolist()
     evals = 0
 
-    def call(x: np.ndarray) -> float:
+    def call(x: list) -> float:
         nonlocal evals
         evals += 1
         v = float(objective(x))
@@ -158,20 +165,22 @@ def nelder_mead(objective: Callable, seed, *, x_tol=1e-6, f_tol=1e-8,
     if not math.isfinite(f_seed):
         raise UsageError("objective is not finite at the seed")
 
-    sim = np.tile(seed, (ndim + 1, 1))
-    fsim = np.full(ndim + 1, math.inf)
-    fsim[0] = f_seed
+    sim, fsim = [seed], [f_seed]
     for i in range(ndim):
-        sim[i + 1, i] = seed[i] * 1.05 if seed[i] != 0.0 else 2.5e-4
-        fsim[i + 1] = call(sim[i + 1])
-    order = np.argsort(fsim, kind="stable")
-    sim, fsim = sim[order], fsim[order]
+        vertex = list(seed)
+        vertex[i] = seed[i] * 1.05 if seed[i] != 0.0 else 2.5e-4
+        sim.append(vertex)
+        fsim.append(call(vertex))
+    order = sorted(range(ndim + 1), key=fsim.__getitem__)
+    sim, fsim = [sim[j] for j in order], [fsim[j] for j in order]
 
     converged = False
     mark_value, mark_evals = fsim[0], evals
     while evals < max_evals:
-        diameter_ok = np.all(np.abs(sim[1:] - sim[0]) <= x_tol)
-        if diameter_ok and fsim[-1] - fsim[0] <= f_tol:
+        best = sim[0]
+        if fsim[-1] - fsim[0] <= f_tol and all(
+                abs(x - b) <= tol
+                for vertex in sim[1:] for x, b, tol in zip(vertex, best, x_tol)):
             converged = True
             break
         if stall_evals is not None:
@@ -179,11 +188,15 @@ def nelder_mead(objective: Callable, seed, *, x_tol=1e-6, f_tol=1e-8,
                 mark_value, mark_evals = fsim[0], evals
             elif evals - mark_evals > stall_evals:
                 break
-        centroid = sim[:-1].mean(axis=0)
-        reflected = centroid + (centroid - sim[-1])
+        centroid = best
+        for vertex in sim[1:-1]:
+            centroid = [c + x for c, x in zip(centroid, vertex)]
+        centroid = [c / ndim for c in centroid]
+        step = [c - x for c, x in zip(centroid, sim[-1])]
+        reflected = [c + s for c, s in zip(centroid, step)]
         f_reflected = call(reflected)
         if f_reflected < fsim[0]:
-            expanded = centroid + 2.0 * (centroid - sim[-1])
+            expanded = [c + 2.0 * s for c, s in zip(centroid, step)]
             f_expanded = call(expanded)
             if f_expanded < f_reflected:
                 sim[-1], fsim[-1] = expanded, f_expanded
@@ -193,23 +206,23 @@ def nelder_mead(objective: Callable, seed, *, x_tol=1e-6, f_tol=1e-8,
             sim[-1], fsim[-1] = reflected, f_reflected
         else:
             if f_reflected < fsim[-1]:
-                contracted = centroid + 0.5 * (centroid - sim[-1])
+                contracted = [c + 0.5 * s for c, s in zip(centroid, step)]
                 f_contracted = call(contracted)
                 accept = f_contracted <= f_reflected
             else:
-                contracted = centroid - 0.5 * (centroid - sim[-1])
+                contracted = [c - 0.5 * s for c, s in zip(centroid, step)]
                 f_contracted = call(contracted)
                 accept = f_contracted < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = contracted, f_contracted
             else:
                 for j in range(1, ndim + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    sim[j] = [b + 0.5 * (x - b) for b, x in zip(best, sim[j])]
                     fsim[j] = call(sim[j])
-        order = np.argsort(fsim, kind="stable")
-        sim, fsim = sim[order], fsim[order]
+        order = sorted(range(ndim + 1), key=fsim.__getitem__)
+        sim, fsim = [sim[j] for j in order], [fsim[j] for j in order]
 
-    return NelderMeadResult(sim[0].copy(), float(fsim[0]), evals, converged)
+    return NelderMeadResult(np.array(sim[0]), fsim[0], evals, converged)
 
 
 def canonicalize_theta(theta) -> tuple[float, float, float, float]:

@@ -113,11 +113,11 @@ def _reoptimized_rmse(objective, point, index, free, settings) -> float:
             full[slot] = v
         return objective(full)
 
-    seed = [point[i] for i in free]
-    if not math.isfinite(reduced(seed)):
+    try:
+        result = nelder_mead(reduced, [point[i] for i in free], x_tol=1e-6,
+                             f_tol=1e-10, max_evals=settings.max_evals)
+    except UsageError:  # the objective is not finite at the seed
         return math.inf
-    result = nelder_mead(reduced, seed, x_tol=1e-6, f_tol=1e-10,
-                         max_evals=settings.max_evals)
     return result.value
 
 

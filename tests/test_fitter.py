@@ -94,6 +94,32 @@ class TestNelderMead:
         assert not capped.converged
         assert capped.evaluations < 5000
 
+    # The two pinned runs below record what the simplex returned when it
+    # was held as numpy rows; the list-of-floats simplex must take the
+    # same steps, so evaluations, x and value match exactly.
+    def test_pinned_rosenbrock_trajectory(self):
+        result = nelder_mead(rosenbrock, [3.0, -4.0, 2.0], x_tol=1e-8,
+                             f_tol=1e-14)
+        assert result.evaluations == 423
+        assert result.converged
+        assert result.x.tolist() == [1.0000000000976017, 1.0000000004461784,
+                                     1.0000000009147518]
+        assert result.value == 6.5576007647688864e-18
+
+    def test_pinned_half_plane_stall_trajectory(self):
+        def half_plane(x):
+            if x[0] + x[1] > 1.0:
+                return math.inf
+            return (x[0] - 2.0) ** 2 + 3.0 * (x[1] - 1.0) ** 2
+
+        result = nelder_mead(half_plane, [-1.0, -1.0], x_tol=1e-15,
+                             f_tol=1e-12, stall_evals=40)
+        assert result.evaluations == 530
+        assert not result.converged
+        assert isinstance(result.x, np.ndarray)
+        assert result.x.tolist() == [0.5000000294126983, 0.4999999705872992]
+        assert result.value == 3.0000000000000107
+
 
 class TestCanonicalize:
     def test_idempotent(self):

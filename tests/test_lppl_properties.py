@@ -4,17 +4,22 @@ The objective takes (beta, omega, t2c) and solves the phase with the
 linear parameters, or (beta, omega, t2c, phi) with the phase held. Both
 go through one kernel, so the phase-solved value is the minimum over phi
 of the phase-held one, and it is attained at the phase the kernel returns.
+The kernel builds its oscillation columns from tan(psi / 2), so its SSE
+is also checked against the curve evaluated with np.cos, near the poles
+of that tangent too.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bubblefit import BubbleWindow, GeneratorSpec, PriceSeries, Scale, generate
-from bubblefit.lppl import linear_completion, window_objective
+from bubblefit import (BubbleWindow, GeneratorSpec, LpplParams, PriceSeries,
+                       Scale, generate)
+from bubblefit.lppl import linear_completion, lppl_curve, window_objective
 
 from conftest import canonical_params, window_of
 
@@ -58,6 +63,41 @@ def test_solved_value_is_attained_at_the_returned_phase(noisy_window, beta,
     assume(math.isfinite(solved))
     phi = linear_completion(noisy_window, (beta, omega, t2c))[3]
     assert objective((beta, omega, t2c, phi)) == pytest.approx(solved, rel=1e-9)
+
+
+def curve_sse(window: BubbleWindow, beta, omega, t2c, solved) -> float:
+    """SSE of the fully specified curve, evaluated with np.cos."""
+    a, b, c, phi, _ = solved
+    params = LpplParams(a, b, c, beta, omega, t2c, phi % (2.0 * math.pi),
+                        window.anchor_date, window.scale)
+    resid = window.values - lppl_curve(params, window.dates)
+    return float(resid @ resid)
+
+
+@PROPERTY_SETTINGS
+@given(beta=BETA, omega=st.floats(0.0, 50.0), t2c=T2C,
+       phi=st.none() | PHI)
+def test_kernel_sse_matches_the_curve(noisy_window, beta, omega, t2c, phi):
+    theta = (beta, omega, t2c) if phi is None else (beta, omega, t2c, phi)
+    solved = linear_completion(noisy_window, theta)
+    assume(solved is not None)
+    assert solved[4] == pytest.approx(
+        curve_sse(noisy_window, beta, omega, t2c, solved), rel=1e-9)
+
+
+@pytest.mark.parametrize("phi", [None, 0.0])
+def test_kernel_at_a_pole_of_the_half_angle_tangent(noisy_window, phi):
+    beta, t2c = 0.5, 20.0
+    log_tau = math.log(t2c + noisy_window.ages_days()[150])
+    omega = math.pi / log_tau  # omega ln(tau) / 2 is pi / 2 on that day
+    assert abs(math.tan(0.5 * omega * log_tau)) > 1e12
+    theta = (beta, omega, t2c) if phi is None else (beta, omega, t2c, phi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        solved = linear_completion(noisy_window, theta)
+    assert solved is not None and math.isfinite(solved[4])
+    assert solved[4] == pytest.approx(
+        curve_sse(noisy_window, beta, omega, t2c, solved), rel=1e-9)
 
 
 @PROPERTY_SETTINGS
