@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .crashes import (
@@ -134,33 +134,14 @@ class RunConfig:
     value_column: str | None
 
     def manifest_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "input": self.input,
-            "out": self.out,
-            "lookback_weekdays": self.crash_config.lookback_weekdays,
-            "drop_to_fraction": self.crash_config.drop_to_fraction,
-            "drop_window_weekdays": self.crash_config.drop_window_weekdays,
-            "min_bubble_weekdays": self.crash_config.min_bubble_weekdays,
-            "overrides": self.overrides_path,
-            "scale": self.scale,
-            "paper_mode": self.paper_mode,
-            "seed_bounds": {
-                "lower": list(self.bounds.lower),
-                "upper": list(self.bounds.upper),
-                "min_width_beta": self.bounds.min_width_beta,
-                "min_width_omega": self.bounds.min_width_omega,
-            },
-            "precursor_beta": list(self.ranges.beta_range),
-            "precursor_omega": list(self.ranges.omega_range),
-            "scan_params": list(self.scan_params),
-            "scan_steps": self.scan_steps,
-            "scan_halfwidth": self.scan_halfwidth,
-            "reoptimize": self.reoptimize,
-            "rng_seed": self.rng_seed,
-            "date_column": self.date_column,
-            "value_column": self.value_column,
-        }
+        """The configuration as JSON-ready fields, crash settings flattened."""
+        d = asdict(self)
+        ranges = d.pop("ranges")
+        d.update(d.pop("crash_config"), overrides=d.pop("overrides_path"),
+                 seed_bounds=d.pop("bounds"),
+                 precursor_beta=ranges["beta_range"],
+                 precursor_omega=ranges["omega_range"])
+        return d
 
 
 def parse_seed_bounds(text: str | None) -> SearchBounds:
@@ -328,10 +309,7 @@ def cmd_fit(config: RunConfig) -> None:
     index, reports = _fit_windows(config)
     for tag, report in reports:
         _write_json(report.to_dict(), os.path.join(config.out, f"fit_{tag}.json"))
-        best = report.best
-        target = (report.window if report.scale_used == Scale.RAW
-                  else report.window.with_log_values())
-        write_curve_csv(best.params, target,
+        write_curve_csv(report.best.params, report.fitted_window,
                         os.path.join(config.out, f"curve_{tag}.csv"))
     _write_json(index, os.path.join(config.out, "fit_index.json"))
 
@@ -340,8 +318,7 @@ def cmd_scan(config: RunConfig) -> None:
     index, reports = _fit_windows(config)
     for tag, report in reports:
         best = report.best
-        target = (report.window if report.scale_used == Scale.RAW
-                  else report.window.with_log_values())
+        target = report.fitted_window
         center = dict(zip(PARAMETER_INDEX, best.params.theta()))
         for name in config.scan_params:
             half = config.scan_halfwidth or DEFAULT_HALF_WIDTH[name]
@@ -403,7 +380,7 @@ def main(argv=None) -> int:
         os.makedirs(config.out, exist_ok=True)
         _DISPATCH[config.command](config)
         _write_manifest(config)
-    except (ConfigError, UsageError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DataError, FileNotFoundError, OSError) as exc:

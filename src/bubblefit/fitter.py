@@ -29,16 +29,15 @@ import numpy as np
 from .crashes import BubbleWindow
 from .errors import UsageError
 from .lppl import (
+    TWO_PI,
     FitDiagnostics,
     LpplParams,
-    linear_completion,
+    WindowSolver,
     monotonicity_check,
     raw_index_validity,
     window_objective,
 )
 from .series import Scale
-
-TWO_PI = 2.0 * math.pi
 
 # solutions closer than this in (beta, omega, t2c, phi) are one fit
 DEDUP_TOL = (1e-3, 1e-3, 0.5, 1e-3)
@@ -303,18 +302,10 @@ def _fit_tolerances(window: BubbleWindow, bounds: SearchBounds,
     return x_tol, f_tol
 
 
-def _linear_for_fit(window: BubbleWindow, theta):
-    """Linear completion along the exact code path the objective used."""
-    solved = linear_completion(window, theta)
-    if solved is None:
-        raise UsageError(f"linear sub-problem is degenerate at {tuple(theta)}")
-    return solved[:3]
-
-
-def _build_result(window: BubbleWindow, theta, value: float, seed, evals: int,
-                  converged: bool, ranges: PrecursorRanges,
+def _build_result(window: BubbleWindow, theta, linear, value: float, seed,
+                  evals: int, converged: bool, ranges: PrecursorRanges,
                   validity: tuple[float, bool] | None) -> FitResult:
-    a, b, c = _linear_for_fit(window, theta)
+    a, b, c = linear
     beta, omega, t2c, phi = theta
     params = LpplParams(a, b, c, beta, omega, t2c, phi,
                         window.anchor_date, window.scale)
@@ -395,19 +386,22 @@ def recursive_seed_search(
            np.asarray(bounds.upper, dtype=float))
 
     # report each solution at its canonical point, with the phase solved
-    # there; the curve is unchanged but the objective is re-evaluated so
-    # value and parameters stay consistent (solutions whose basis is
-    # numerically degenerate after the ulp-level phase shift are dropped)
+    # there; the curve is unchanged but the kernel solves again with that
+    # phase held so value and parameters stay consistent (solutions whose
+    # basis is numerically degenerate after the ulp-level phase shift are
+    # dropped)
+    # no min_beta re-check: the best vertex is finite, canonicalizing keeps beta
+    solver = WindowSolver(window)
     entries = []
     for outcome, seed in solutions:
-        solved = linear_completion(window, outcome.x)
+        solved = solver.solve(*outcome.x.tolist())
         if solved is None:
             continue
         theta = canonicalize_theta((*outcome.x, solved[3]))
-        value = objective(theta)
-        if math.isfinite(value):
-            entries.append((value, theta, seed, outcome.evaluations,
-                            outcome.converged))
+        held = solver.solve(*theta)
+        if held is not None:
+            entries.append((solver.rmse(held[4]), theta, seed,
+                            outcome.evaluations, outcome.converged, held[:3]))
     entries.sort(key=lambda e: (e[0], e[1]))
     kept: list[tuple] = []
     for entry in entries:
@@ -420,8 +414,9 @@ def recursive_seed_search(
             kept.append(entry)
 
     return [
-        _build_result(window, theta, value, seed, evals, conv, ranges, validity)
-        for value, theta, seed, evals, conv in kept
+        _build_result(window, theta, linear, value, seed, evals, conv, ranges,
+                      validity)
+        for value, theta, seed, evals, conv, linear in kept
     ]
 
 
@@ -442,6 +437,13 @@ class BubbleReport:
     @property
     def best(self) -> FitResult:
         return self.fits[0]
+
+    @property
+    def fitted_window(self) -> BubbleWindow:
+        """The window on the scale the fits were made on."""
+        if self.scale_used == Scale.RAW:
+            return self.window
+        return self.window.with_log_values()
 
     def to_dict(self) -> dict:
         fits = []

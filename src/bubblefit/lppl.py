@@ -19,6 +19,12 @@ C1 f cos(omega ln(tc-t)) + C2 f sin(omega ln(tc-t)), so regress y on
 phi = atan2(-C2, C1) and b c = hypot(C1, C2). The fitter's simplex runs
 over these three parameters; both regressions share one kernel.
 
+The kernel is one object per window, `WindowSolver`, whose `solve` is the
+only way to a linear completion. Two functions sit on top of it, each
+for a contract the object does not keep: `window_objective` is the
+objective the simplexes minimize (+inf outside the domain), and
+`linear_solve` raises DegeneracyError naming the collinear pair.
+
 The kernel builds its oscillation columns without cos and sin: with
 psi the angle (omega ln(tc-t), plus phi when the phase is held),
 t = tan(psi / 2) and w = f / (1 + t^2), f cos(psi) = (1 - t^2) w and
@@ -157,11 +163,14 @@ class LinearParams(NamedTuple):
     c_degenerate: bool
 
 
-class _WindowSolver:
-    """The least-squares kernel: preallocated state for repeated solves on
-    one window.
+class WindowSolver:
+    """The least-squares kernel of one window: preallocated state for
+    repeated solves.
 
-    With phi given the design columns are {1, f, f cos(omega ln tau + phi)};
+    `solve` gives the linear completion at a nonlinear point, and
+    `rmse_at` is the objective built on it; `window_objective` and
+    `linear_solve` are the two entry points on top of this object. With
+    phi given the design columns are {1, f, f cos(omega ln tau + phi)};
     with phi solved they are {1, f, f cos(omega ln tau), f sin(omega ln tau) / 2}.
     Both come from the half-angle tangent of the module docstring, which
     gives f sin(psi) / 2 = t w directly; the sin column's coefficient is
@@ -186,9 +195,9 @@ class _WindowSolver:
     __slots__ = ("y", "ages", "n", "log_n", "age_max", "b_floor", "lg", "r",
                  "f", "cos", "sin", "systems", "failure")
 
-    def __init__(self, y: np.ndarray, ages: np.ndarray):
-        self.y = np.ascontiguousarray(y, dtype=float)
-        self.ages = np.ascontiguousarray(ages, dtype=float)
+    def __init__(self, window: BubbleWindow):
+        self.y = np.ascontiguousarray(window.values, dtype=float)
+        self.ages = window.ages_days()
         n = self.y.size
         self.n = float(n)
         self.log_n = math.log(n) if n else 0.0
@@ -300,9 +309,20 @@ class _WindowSolver:
         self.failure = cause
         return None
 
+    def rmse(self, sse: float) -> float:
+        """The RMSE that an SSE of `solve` stands for."""
+        return math.sqrt(sse / self.n)
+
     def rmse_at(self, beta: float, omega: float, t2c: float,
                 phi: float | None = None) -> float:
-        """The objective: RMSE of `solve`, +inf outside the domain."""
+        """The objective: RMSE of `solve`, +inf outside the domain.
+
+        Inadmissible points (t2c < 1, beta <= 0, a degenerate basis,
+        numeric overflow) evaluate to +inf rather than raising, which
+        keeps the unbounded search well defined. With the phase held, a
+        negative omega is mapped through the exact identity
+        cos(-omega * x + phi) = cos(omega * x - phi).
+        """
         if phi is not None:
             if not math.isfinite(phi):
                 return math.inf
@@ -313,15 +333,7 @@ class _WindowSolver:
         solved = self.solve(beta, omega, t2c, phi)
         if solved is None:
             return math.inf
-        return math.sqrt(solved[4] / self.n)
-
-
-def linear_completion(window: BubbleWindow, theta):
-    """(a, b, c, phi, sse) at one nonlinear point, on the objective's code
-    path, or None when the point is inadmissible. `theta` is
-    (beta, omega, t2c) with the phase solved, or (beta, omega, t2c, phi)."""
-    solver = _WindowSolver(window.values, window.ages_days())
-    return solver.solve(*(float(x) for x in theta))
+        return self.rmse(solved[4])
 
 
 def linear_solve(beta: float, omega: float, t2c: float, phi: float,
@@ -336,10 +348,9 @@ def linear_solve(beta: float, omega: float, t2c: float, phi: float,
     """
     if len(window) == 0:
         raise UsageError("empty window")
-    ages = window.ages_days()
-    if t2c + ages.min() < 1.0:
+    solver = WindowSolver(window)
+    if t2c + solver.ages.min() < 1.0:
         raise UsageError("all observations must be at least 1 day before tc")
-    solver = _WindowSolver(window.values, ages)
     solved = solver.solve(float(beta), float(omega), float(t2c), float(phi))
     if solved is None:
         if solver.failure == "collinear":
@@ -360,44 +371,19 @@ def _most_collinear_pair(gram: np.ndarray) -> tuple[int, int]:
     return max(pairs, key=lambda p: abs(scaled[p]))
 
 
-def nonlinear_rmse(y: np.ndarray, ages: np.ndarray, beta: float, omega: float,
-                   t2c: float, phi: float) -> float:
-    """RMSE of the best linear completion at one nonlinear point.
-
-    This is the phase-held objective that sensitivity scans record; with
-    the phase solved instead, it is what the simplex search minimizes.
-    Inadmissible points (t2c < 1, beta <= 0, a degenerate basis, numeric
-    overflow) evaluate to +inf rather than raising, which keeps the
-    unbounded search well defined. Negative omega is mapped through the
-    exact identity
-    cos(-omega * x + phi) = cos(omega * x - phi).
-    """
-    return _WindowSolver(np.asarray(y, dtype=float),
-                         np.asarray(ages, dtype=float)).rmse_at(beta, omega, t2c, phi)
-
-
 def window_objective(window: BubbleWindow):
     """Bind a window into the objective of the fitter and the scans.
 
     The objective takes (beta, omega, t2c), and then solves the phase with
-    the linear parameters, or (beta, omega, t2c, phi) with the phase held.
+    the linear parameters, or (beta, omega, t2c, phi) with the phase held;
+    it is `WindowSolver.rmse_at`.
     """
-    rmse_at = _WindowSolver(window.values, window.ages_days()).rmse_at
+    rmse_at = WindowSolver(window).rmse_at
 
     def objective(theta) -> float:
         return rmse_at(*theta)
 
     return objective
-
-
-def solve_linear_fast(window: BubbleWindow, theta):
-    """(a, b, d, sse) with d = b * c at one nonlinear point, on the
-    objective's code path, or None when the point is inadmissible."""
-    solved = linear_completion(window, theta)
-    if solved is None:
-        return None
-    a, b, c, _, sse = solved
-    return a, b, b * c, sse
 
 
 def rmse(params: LpplParams, window: BubbleWindow) -> float:

@@ -154,15 +154,17 @@ class TestFitCommand:
         assert rows[0] == "date,observed,fitted"
         assert len(rows) == 1 + report["window"]["n_observations"]
 
-    def test_exit_zero_even_when_not_precursor(self, tmp_path):
-        # narrow classification ranges make any fit non-precursor
+    def test_exit_zero_even_when_not_precursor(self, crash_csv, tmp_path):
+        # a narrow beta range makes the planted fit (beta 0.33) non-precursor
         out = tmp_path / "out"
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(GEN_SPEC))
-        run("--input", str(spec_path), "--command", "generate", "--out",
-            str(tmp_path))
-        # build a crash series from that csv is overkill; reuse crash fixture
-        assert True
+        assert run("--input", str(crash_csv), "--command", "fit",
+                   "--precursor-beta", "0.9", "0.95",
+                   "--seed-bounds", '{"beta": [0, 2, 0.5], "omega": [0, 20, 5]}',
+                   "--out", str(out)) == 0
+        index = json.loads((out / "fit_index.json").read_text())
+        report = json.loads((out / index[0]["fit"]).read_text())
+        assert report["best_fit"]["classification"] == "not_precursor"
+        assert report["best_precursor"] is None
 
 
 class TestScanCommand:

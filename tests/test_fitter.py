@@ -23,7 +23,7 @@ from bubblefit import (
     rmse,
 )
 from bubblefit.fitter import _boundary_warnings, classify_theta
-from bubblefit.lppl import window_objective
+from bubblefit.lppl import linear_solve, window_objective
 
 from conftest import canonical_params, window_of
 
@@ -202,6 +202,17 @@ class TestRecursiveSeedSearch:
             recomputed = rmse(fit.params, noise_free_window)
             assert recomputed == pytest.approx(fit.diagnostics.rmse,
                                                rel=1e-9, abs=1e-9)
+
+    def test_reported_values_are_on_the_objective_path(self, noise_free_window,
+                                                       noise_free_fits):
+        # every kept fit reports exactly what the objective and the linear
+        # solve give at its canonical point
+        objective = window_objective(noise_free_window)
+        for fit in noise_free_fits:
+            theta = fit.params.theta()
+            assert fit.diagnostics.rmse == objective(theta)
+            assert (fit.params.a, fit.params.b, fit.params.c) == tuple(
+                linear_solve(*theta, noise_free_window)[:3])
 
     def test_ranking_and_dedup(self, noise_free_fits):
         values = [f.diagnostics.rmse for f in noise_free_fits]

@@ -21,7 +21,7 @@ from bubblefit import (
     raw_index_validity,
     rmse,
 )
-from bubblefit.lppl import nonlinear_rmse, solve_linear_fast, window_objective
+from bubblefit.lppl import WindowSolver, window_objective
 
 from conftest import canonical_params, series_from_values, weekday_grid_from, window_of
 
@@ -175,10 +175,10 @@ class TestLinearSolve:
                             start=window.start_date)
         theta = (0.41, 5.9, 33.0, 1.4)
         careful = linear_solve(*theta, noisy)
-        a, b, d, sse = solve_linear_fast(noisy, theta)
+        a, b, c, _, _ = WindowSolver(noisy).solve(*theta)
         assert a == pytest.approx(careful.a, rel=1e-9)
         assert b == pytest.approx(careful.b, rel=1e-9)
-        assert d / b == pytest.approx(careful.c, rel=1e-9)
+        assert c == pytest.approx(careful.c, rel=1e-9)
 
 
 class TestRmse:
@@ -197,24 +197,22 @@ class TestRmse:
         window = curve_window(params, 180)
         theta = (0.37, 6.1, 28.0, 0.9)
         objective_value = window_objective(window)(theta)
-        a, b, d, _ = solve_linear_fast(window, theta)
-        fitted = LpplParams(a, b, d / b, *theta, anchor_date=window.anchor_date,
+        a, b, c, _, _ = WindowSolver(window).solve(*theta)
+        fitted = LpplParams(a, b, c, *theta, anchor_date=window.anchor_date,
                             scale=window.scale)
         assert rmse(fitted, window) == pytest.approx(objective_value, rel=1e-9)
 
 
 class TestNonlinearRmse:
     def test_penalizes_inadmissible_points(self):
-        window = make_window(np.linspace(100, 200, 50))
-        y, ages = window.values, window.ages_days()
-        assert nonlinear_rmse(y, ages, -0.1, 6.0, 20.0, 0.5) == math.inf
-        assert nonlinear_rmse(y, ages, 0.5, 6.0, 0.5, 0.5) == math.inf
+        objective = window_objective(make_window(np.linspace(100, 200, 50)))
+        assert objective((-0.1, 6.0, 20.0, 0.5)) == math.inf
+        assert objective((0.5, 6.0, 0.5, 0.5)) == math.inf
 
     def test_negative_omega_reflects(self):
-        window = make_window(np.linspace(100, 200, 80))
-        y, ages = window.values, window.ages_days()
-        plus = nonlinear_rmse(y, ages, 0.5, 6.0, 20.0, 0.5)
-        minus = nonlinear_rmse(y, ages, 0.5, -6.0, 20.0, -0.5)
+        objective = window_objective(make_window(np.linspace(100, 200, 80)))
+        plus = objective((0.5, 6.0, 20.0, 0.5))
+        minus = objective((0.5, -6.0, 20.0, -0.5))
         assert minus == pytest.approx(plus, rel=1e-12)
 
 

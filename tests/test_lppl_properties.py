@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from bubblefit import (BubbleWindow, GeneratorSpec, LpplParams, PriceSeries,
                        Scale, generate)
-from bubblefit.lppl import linear_completion, lppl_curve, window_objective
+from bubblefit.lppl import WindowSolver, lppl_curve, window_objective
 
 from conftest import canonical_params, window_of
 
@@ -61,7 +61,7 @@ def test_solved_value_is_attained_at_the_returned_phase(noisy_window, beta,
     objective = window_objective(noisy_window)
     solved = objective((beta, omega, t2c))
     assume(math.isfinite(solved))
-    phi = linear_completion(noisy_window, (beta, omega, t2c))[3]
+    phi = WindowSolver(noisy_window).solve(beta, omega, t2c)[3]
     assert objective((beta, omega, t2c, phi)) == pytest.approx(solved, rel=1e-9)
 
 
@@ -79,7 +79,7 @@ def curve_sse(window: BubbleWindow, beta, omega, t2c, solved) -> float:
        phi=st.none() | PHI)
 def test_kernel_sse_matches_the_curve(noisy_window, beta, omega, t2c, phi):
     theta = (beta, omega, t2c) if phi is None else (beta, omega, t2c, phi)
-    solved = linear_completion(noisy_window, theta)
+    solved = WindowSolver(noisy_window).solve(*theta)
     assume(solved is not None)
     assert solved[4] == pytest.approx(
         curve_sse(noisy_window, beta, omega, t2c, solved), rel=1e-9)
@@ -94,7 +94,7 @@ def test_kernel_at_a_pole_of_the_half_angle_tangent(noisy_window, phi):
     theta = (beta, omega, t2c) if phi is None else (beta, omega, t2c, phi)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        solved = linear_completion(noisy_window, theta)
+        solved = WindowSolver(noisy_window).solve(*theta)
     assert solved is not None and math.isfinite(solved[4])
     assert solved[4] == pytest.approx(
         curve_sse(noisy_window, beta, omega, t2c, solved), rel=1e-9)
@@ -106,10 +106,10 @@ def test_kernel_at_a_pole_of_the_half_angle_tangent(noisy_window, phi):
 def test_shift_and_scale_equivariance(noisy_window, beta, omega, t2c, scale,
                                       shift):
     theta = (beta, omega, t2c)
-    base = linear_completion(noisy_window, theta)
+    base = WindowSolver(noisy_window).solve(*theta)
     assume(base is not None)
     a, b, c, phi, sse = base
-    other = linear_completion(moved(noisy_window, scale, shift), theta)
+    other = WindowSolver(moved(noisy_window, scale, shift)).solve(*theta)
     assert other is not None
     spread = float(np.ptp(noisy_window.values))
     assert other[0] == pytest.approx(scale * a + shift, rel=1e-8,
