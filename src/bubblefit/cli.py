@@ -321,7 +321,8 @@ def cmd_scan(config: RunConfig) -> None:
         target = report.fitted_window
         center = dict(zip(PARAMETER_INDEX, best.params.theta()))
         for name in config.scan_params:
-            half = config.scan_halfwidth or DEFAULT_HALF_WIDTH[name]
+            half = (DEFAULT_HALF_WIDTH[name] if config.scan_halfwidth is None
+                    else config.scan_halfwidth)
             spec = ScanSpec(parameter=name, center=center[name],
                             half_width=half, steps=config.scan_steps)
             curve = scan_parameter(best, target, spec,

@@ -128,20 +128,26 @@ class NelderMeadResult(NamedTuple):
 
 
 def nelder_mead(objective: Callable, seed, *, x_tol=1e-6, f_tol=1e-8,
-                max_evals: int = 20000,
-                stall_evals: int | None = None) -> NelderMeadResult:
+                max_evals: int = 20000, stall_evals: int | None = None):
     """Minimize with the reflection/expansion/contraction/shrink simplex.
 
     Terminates when the simplex diameter is within `x_tol` (scalar or
     per-dimension) on every coordinate AND the vertex value spread is
     within `f_tol`; hitting `max_evals` instead returns converged=False.
     The objective receives each point as a list of floats and may return
-    +inf anywhere except at the seed.
+    +inf (or NaN, taken as +inf) anywhere except at the seed.
 
     `stall_evals`, when set, gives up (flagged unconverged) once the best
     value has not improved by more than `f_tol` within that many
     evaluations; it cuts off simplexes chasing an asymptotic valley with
     no finite minimizer.
+
+    A 2-D `seed` is a stack of seeds, one row per simplex, and the
+    simplexes advance in lockstep: each round calls the objective once
+    with a (K, ndim) array holding every simplex's next point, NaN rows
+    for the simplexes that have stopped, and takes K values back. The
+    result is then a list whose row i is exactly what a call with seed
+    row i alone returns, or None where that call raises.
 
     The simplex is held as lists of floats: with three or four vertices,
     numpy's per-operation overhead would cost more than the arithmetic.
@@ -149,18 +155,54 @@ def nelder_mead(objective: Callable, seed, *, x_tol=1e-6, f_tol=1e-8,
     the vertices in order, then divides by the dimension), so the
     trajectory is the same as with array rows, bit for bit.
     """
-    seed = np.asarray(seed, dtype=float).ravel().tolist()
+    seeds = np.asarray(seed, dtype=float)
+    if seeds.ndim == 2:
+        return _lockstep(objective, seeds, x_tol, f_tol, max_evals, stall_evals)
+    steps = _simplex(seeds.ravel().tolist(), x_tol, f_tol, max_evals, stall_evals)
+    x = next(steps)
+    try:
+        while True:
+            value = float(objective(x))
+            x = steps.send(math.inf if math.isnan(value) else value)
+    except StopIteration as stop:
+        return stop.value
+
+
+def _lockstep(objective, seeds, x_tol, f_tol, max_evals,
+              stall_evals) -> list[NelderMeadResult | None]:
+    """`nelder_mead` over a stack of seeds, one objective call per round."""
+    runs = [_simplex(row, x_tol, f_tol, max_evals, stall_evals)
+            for row in seeds.tolist()]
+    results: list[NelderMeadResult | None] = [None] * len(runs)
+    batch = np.full(seeds.shape, math.nan)
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    while pending:
+        for i, x in pending.items():
+            batch[i] = x
+        values = np.asarray(objective(batch), dtype=float).tolist()
+        for i in list(pending):
+            value = values[i]
+            try:
+                pending[i] = runs[i].send(math.inf if math.isnan(value) else value)
+                continue
+            except StopIteration as stop:
+                results[i] = stop.value
+            except UsageError:  # not finite at the seed: the result stays None
+                pass
+            del pending[i]
+            batch[i] = math.nan
+    return results
+
+
+def _simplex(seed: list, x_tol, f_tol, max_evals: int, stall_evals: int | None):
+    """The algorithm of `nelder_mead` as a generator: it yields each point
+    to evaluate, is sent that point's value (never NaN) back, and returns
+    the NelderMeadResult."""
     ndim = len(seed)
     x_tol = np.broadcast_to(np.asarray(x_tol, dtype=float), (ndim,)).tolist()
-    evals = 0
 
-    def call(x: list) -> float:
-        nonlocal evals
-        evals += 1
-        v = float(objective(x))
-        return math.inf if math.isnan(v) else v
-
-    f_seed = call(seed)
+    f_seed = yield seed
+    evals = 1
     if not math.isfinite(f_seed):
         raise UsageError("objective is not finite at the seed")
 
@@ -169,7 +211,8 @@ def nelder_mead(objective: Callable, seed, *, x_tol=1e-6, f_tol=1e-8,
         vertex = list(seed)
         vertex[i] = seed[i] * 1.05 if seed[i] != 0.0 else 2.5e-4
         sim.append(vertex)
-        fsim.append(call(vertex))
+        fsim.append((yield vertex))
+        evals += 1
     order = sorted(range(ndim + 1), key=fsim.__getitem__)
     sim, fsim = [sim[j] for j in order], [fsim[j] for j in order]
 
@@ -193,10 +236,12 @@ def nelder_mead(objective: Callable, seed, *, x_tol=1e-6, f_tol=1e-8,
         centroid = [c / ndim for c in centroid]
         step = [c - x for c, x in zip(centroid, sim[-1])]
         reflected = [c + s for c, s in zip(centroid, step)]
-        f_reflected = call(reflected)
+        f_reflected = yield reflected
+        evals += 1
         if f_reflected < fsim[0]:
             expanded = [c + 2.0 * s for c, s in zip(centroid, step)]
-            f_expanded = call(expanded)
+            f_expanded = yield expanded
+            evals += 1
             if f_expanded < f_reflected:
                 sim[-1], fsim[-1] = expanded, f_expanded
             else:
@@ -206,18 +251,20 @@ def nelder_mead(objective: Callable, seed, *, x_tol=1e-6, f_tol=1e-8,
         else:
             if f_reflected < fsim[-1]:
                 contracted = [c + 0.5 * s for c, s in zip(centroid, step)]
-                f_contracted = call(contracted)
+                f_contracted = yield contracted
                 accept = f_contracted <= f_reflected
             else:
                 contracted = [c - 0.5 * s for c, s in zip(centroid, step)]
-                f_contracted = call(contracted)
+                f_contracted = yield contracted
                 accept = f_contracted < fsim[-1]
+            evals += 1
             if accept:
                 sim[-1], fsim[-1] = contracted, f_contracted
             else:
                 for j in range(1, ndim + 1):
                     sim[j] = [b + 0.5 * (x - b) for b, x in zip(best, sim[j])]
-                    fsim[j] = call(sim[j])
+                    fsim[j] = yield sim[j]
+                    evals += 1
         order = sorted(range(ndim + 1), key=fsim.__getitem__)
         sim, fsim = [sim[j] for j in order], [fsim[j] for j in order]
 
@@ -425,6 +472,7 @@ class BubbleReport:
     """Everything `fit_bubble` learned about one bubble window."""
 
     window: BubbleWindow
+    fitted_window: BubbleWindow  # the window on the scale the fits were made on
     scale_used: Scale
     scale_reason: str
     validity_ratio: float
@@ -437,13 +485,6 @@ class BubbleReport:
     @property
     def best(self) -> FitResult:
         return self.fits[0]
-
-    @property
-    def fitted_window(self) -> BubbleWindow:
-        """The window on the scale the fits were made on."""
-        if self.scale_used == Scale.RAW:
-            return self.window
-        return self.window.with_log_values()
 
     def to_dict(self) -> dict:
         fits = []
@@ -525,6 +566,7 @@ def fit_bubble(
 
     return BubbleReport(
         window=window,
+        fitted_window=target,
         scale_used=scale_used,
         scale_reason=reason,
         validity_ratio=ratio,

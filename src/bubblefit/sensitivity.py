@@ -24,9 +24,14 @@ import numpy as np
 from .crashes import BubbleWindow
 from .errors import UsageError
 from .fitter import FitResult, SearchSettings, nelder_mead
-from .lppl import window_objective
+from .lppl import WindowSolver, window_objective
 
 PARAMETER_INDEX = {"beta": 0, "omega": 1, "t2c": 2, "phi": 3}
+
+# the absolute simplex tolerances of a reoptimized scan, in the units of
+# the free parameters and of the RMSE
+REOPT_X_TOL = 1e-6
+REOPT_F_TOL = 1e-10
 
 # per-parameter half-widths used when the caller does not pick one
 DEFAULT_HALF_WIDTH = {"beta": 0.5, "omega": 5.0, "t2c": 50.0, "phi": math.pi / 2}
@@ -82,43 +87,45 @@ def scan_parameter(fit: FitResult, window: BubbleWindow, spec: ScanSpec,
     re-searched at every sample instead of held fixed (the phase in
     closed form unless it is the scanned one); that is a strictly
     different question from the standard scan and is off by default.
+
+    Of `settings`, a reoptimized scan reads only `max_evals`, the cap on
+    each sample's simplex; its tolerances are the absolute REOPT_X_TOL
+    and REOPT_F_TOL. The samples' simplexes run in lockstep, in one
+    `nelder_mead` call whose every round is one `WindowSolver.rmse_many`
+    call over all samples.
     """
-    objective = window_objective(window)
-    theta = list(fit.params.theta())
     index = PARAMETER_INDEX[spec.parameter]
+    theta = fit.params.theta()
+    grid = spec.grid()
+    if reoptimize:
+        results = _reoptimized_rmse(window, theta, index, grid, settings)
+    else:
+        objective = window_objective(window)
+        results = []
+        for value in grid:
+            point = list(theta)
+            point[index] = float(value)
+            results.append(objective(point))
+    return ScanCurve(spec.parameter, tuple(float(v) for v in grid),
+                     tuple(float(r) if math.isfinite(r) else None for r in results))
+
+
+def _reoptimized_rmse(window, theta, index, grid, settings) -> list[float]:
     # the phase is held only when it is the scanned parameter
-    size = 4 if reoptimize and index == 3 else 3
+    size = 4 if index == 3 else 3
     free = [i for i in range(size) if i != index]
-
-    results: list[float | None] = []
-    for value in spec.grid():
-        point = list(theta)
-        point[index] = float(value)
-        if reoptimize:
-            r = _reoptimized_rmse(objective, point[:size], index, free, settings)
-        else:
-            r = objective(point)
-        results.append(float(r) if math.isfinite(r) else None)
-    return ScanCurve(spec.parameter, tuple(float(v) for v in spec.grid()),
-                     tuple(results))
-
-
-def _reoptimized_rmse(objective, point, index, free, settings) -> float:
-    fixed_value = point[index]
+    points = np.tile(theta[:size], (len(grid), 1))
+    points[:, index] = grid
+    rmse_many = WindowSolver(window).rmse_many
 
     def reduced(sub):
-        full = list(point)
-        full[index] = fixed_value
-        for slot, v in zip(free, sub):
-            full[slot] = v
-        return objective(full)
+        points[:, free] = sub
+        return rmse_many(points)
 
-    try:
-        result = nelder_mead(reduced, [point[i] for i in free], x_tol=1e-6,
-                             f_tol=1e-10, max_evals=settings.max_evals)
-    except UsageError:  # the objective is not finite at the seed
-        return math.inf
-    return result.value
+    results = nelder_mead(reduced, points[:, free], x_tol=REOPT_X_TOL,
+                          f_tol=REOPT_F_TOL, max_evals=settings.max_evals)
+    # None: the objective is not finite at the seed
+    return [math.inf if r is None else r.value for r in results]
 
 
 def write_scan_csv(curve: ScanCurve, path) -> None:

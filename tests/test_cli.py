@@ -32,6 +32,10 @@ def run(*argv):
     return main(list(argv))
 
 
+# a coarser seed partition than the default, for fast CLI fits
+COARSE_SEED_BOUNDS = '{"beta": [0, 2, 0.5], "omega": [0, 20, 5]}'
+
+
 class TestGenerateCommand:
     def test_writes_csv_matching_library(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -177,6 +181,29 @@ class TestScanCommand:
         lines = scan_file.read_text().strip().splitlines()
         assert lines[0] == "param,value,rmse"
         assert len(lines) == 42
+
+    def test_zero_halfwidth_exits_1(self, crash_csv, tmp_path):
+        # 0 is a half-width like any other, not "use the default"
+        assert run("--input", str(crash_csv), "--command", "scan",
+                   "--scan-halfwidth", "0", "--scan-steps", "5",
+                   "--seed-bounds", COARSE_SEED_BOUNDS,
+                   "--out", str(tmp_path / "out")) == 1
+
+    def test_reoptimized_scan_csvs_repeat_byte_for_byte(self, crash_csv, tmp_path):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert run("--input", str(crash_csv), "--command", "scan",
+                       "--reoptimize", "--scan-steps", "5",
+                       "--seed-bounds", COARSE_SEED_BOUNDS,
+                       "--out", str(out)) == 0
+        names = sorted(p.name for p in outs[0].glob("scan_*.csv"))
+        assert names == [f"scan_2005-06-30_{p}.csv"
+                         for p in ("beta", "omega", "phi", "t2c")]
+        for name in names:
+            first = (outs[0] / name).read_bytes()
+            assert first == (outs[1] / name).read_bytes()
+            rows = first.decode().strip().splitlines()[1:]
+            assert len(rows) == 5 and any(not r.endswith(",") for r in rows)
 
 
 class TestErrorHandling:

@@ -120,6 +120,47 @@ class TestNelderMead:
         assert result.x.tolist() == [0.5000000294126983, 0.4999999705872992]
         assert result.value == 3.0000000000000107
 
+    @pytest.mark.parametrize("budget", [
+        dict(x_tol=1e-8, f_tol=1e-14),
+        dict(x_tol=[1e-6, 1e-3, 1e-6], f_tol=1e-10, max_evals=120,
+             stall_evals=30),
+    ], ids=["converging", "capped"])
+    def test_stacked_seeds_match_single_seed_runs(self, budget):
+        def objective(x):
+            # a Rosenbrock valley cut by an infeasible and a NaN region
+            if x[2] > 4.0:
+                return math.inf
+            if x[0] < -3.0:
+                return math.nan
+            return rosenbrock(x)
+
+        # the fourth seed is infeasible and the fifth NaN: both raise alone
+        seeds = [[3.0, -4.0, 2.0], [-1.0, 1.0, 0.5], [0.0, 0.0, 0.0],
+                 [1.0, 2.0, 5.0], [-3.5, 1.0, 1.0], [1.0, 1.0, 1.0]]
+        rounds = []
+
+        def stacked(batch):
+            live = ~np.isnan(batch).any(axis=1)
+            rounds.append(live.tolist())
+            return [objective(x) if ok else math.nan
+                    for x, ok in zip(batch.tolist(), live)]
+
+        results = nelder_mead(stacked, np.array(seeds), **budget)
+        evals = []
+        for seed, got in zip(seeds, results):
+            try:
+                alone = nelder_mead(objective, seed, **budget)
+            except UsageError:
+                assert got is None
+                evals.append(1)
+                continue
+            assert got.x.tolist() == alone.x.tolist()
+            assert (got.value, got.evaluations, got.converged) == (
+                alone.value, alone.evaluations, alone.converged)
+            evals.append(alone.evaluations)
+        # one call per round, and a simplex's row is NaN once it has stopped
+        assert rounds == [[j < e for e in evals] for j in range(max(evals))]
+
 
 class TestCanonicalize:
     def test_idempotent(self):

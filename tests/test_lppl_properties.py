@@ -118,3 +118,48 @@ def test_shift_and_scale_equivariance(noisy_window, beta, omega, t2c, scale,
     assert other[2] == pytest.approx(c, rel=1e-8)
     rmse, other_rmse = math.sqrt(sse), math.sqrt(other[4])
     assert other_rmse / rmse == pytest.approx(scale, rel=1e-8)
+
+
+def edge_rows(window: BubbleWindow, held: bool) -> list[tuple]:
+    """Points on or next to each rule of the kernel, one per rule."""
+    ages = window.ages_days()
+    guard_t2c = 30.0
+    guard_beta = (700.0 - math.log(len(window))) / (
+        2.0 * math.log(guard_t2c + ages.max()))
+    rows = [
+        (0.5, math.pi / math.log(20.0 + ages[150]), 20.0),  # a tan(psi / 2) pole
+        (guard_beta * (1.0 - 1e-9), 6.0, guard_t2c),        # inside the overflow guard
+        (guard_beta * (1.0 + 1e-9), 6.0, guard_t2c),        # outside it
+        (1e-12, 6.0, 30.0),                                 # beta -> 0: collinear
+        (38.0, 6.0, 7500.0),                                # b below the b-floor
+        (0.4, 6.0, 0.5),                                    # t2c < 1
+        (math.nan, math.nan, math.nan),
+    ]
+    if not held:
+        return rows + [(0.4, 0.0, 30.0)]                    # sin column all zero
+    return [row + (0.0 if i == 0 else 1.0,) for i, row in enumerate(rows)] + [
+        (0.4, -6.0, 30.0, 1.0),                             # negative omega
+        (0.4, 6.0, 30.0, math.nan),
+        (0.4, 6.0, 30.0, math.inf),
+    ]
+
+
+@PROPERTY_SETTINGS
+@given(rows=st.lists(st.tuples(BETA, st.floats(-20.0, 50.0), st.floats(-5.0, 250.0),
+                               PHI), min_size=1, max_size=40),
+       held=st.booleans(), repeat=st.sampled_from([1, 10]),
+       with_edges=st.booleans())
+def test_stacked_kernel_matches_the_scalar_one(noisy_window, rows, held, repeat,
+                                               with_edges):
+    # stacks of 1 to 40 random rows fall on both sides of the small-block
+    # rule; repeated tenfold they span several blocks
+    width = 4 if held else 3
+    points = [row[:width] for row in rows] * repeat
+    if with_edges:
+        points += edge_rows(noisy_window, held)
+    solver = WindowSolver(noisy_window)
+    many = solver.rmse_many(np.array(points))
+    one = np.array([solver.rmse_at(*p) for p in points])
+    assert np.array_equal(np.isfinite(many), np.isfinite(one))
+    finite = np.isfinite(one)
+    assert np.allclose(many[finite], one[finite], rtol=1e-12, atol=0.0)

@@ -10,13 +10,16 @@ from bubblefit import (
     GeneratorSpec,
     LpplParams,
     ScanSpec,
+    SearchSettings,
     UsageError,
     generate,
     scan_parameter,
     write_scan_csv,
 )
+from bubblefit.fitter import nelder_mead
 from bubblefit.lppl import window_objective
-from bubblefit.sensitivity import ScanCurve
+from bubblefit.sensitivity import (PARAMETER_INDEX, REOPT_F_TOL, REOPT_X_TOL,
+                                   ScanCurve)
 
 from conftest import canonical_params, series_from_values, window_of
 
@@ -29,6 +32,33 @@ def fake_fit(params: LpplParams) -> FitResult:
     return FitResult(params=params, diagnostics=diag,
                      seed_used=params.theta(), function_evaluations=1,
                      converged=True, classification=Classification.PRECURSOR)
+
+
+def reoptimized_one_by_one(fit, window, spec, max_evals):
+    """The reoptimized scan as one simplex per sample on `window_objective`,
+    the reference for the lockstep scan."""
+    objective = window_objective(window)
+    index = PARAMETER_INDEX[spec.parameter]
+    size = 4 if index == 3 else 3
+    free = [i for i in range(size) if i != index]
+    out = []
+    for value in spec.grid():
+        point = list(fit.params.theta())[:size]
+        point[index] = float(value)
+
+        def reduced(sub, point=point):
+            full = list(point)
+            for slot, v in zip(free, sub):
+                full[slot] = v
+            return objective(full)
+
+        try:
+            r = nelder_mead(reduced, [point[i] for i in free], x_tol=REOPT_X_TOL,
+                            f_tol=REOPT_F_TOL, max_evals=max_evals).value
+        except UsageError:
+            r = math.inf
+        out.append(r if math.isfinite(r) else None)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -110,12 +140,46 @@ class TestScanParameter:
         # flat up to solver roundoff (values are ~1e-14 relative to the data)
         assert all(r == pytest.approx(0.0, abs=1e-9) for r in curve.rmse)
 
-    def test_reoptimize_never_worse_than_fixed(self, clean_fit, clean_window):
-        spec = ScanSpec("beta", 0.33, 0.1, steps=5)
+    # the phi scan runs the phase-held stack; the t2c grid (-1 .. 5) puts
+    # undefined samples into the stack
+    @pytest.mark.parametrize("parameter, center, half_width", [
+        pytest.param("beta", 0.33, 0.1, id="beta"),
+        pytest.param("omega", 6.36, 1.0, id="omega"),
+        pytest.param("t2c", 2.0, 3.0, id="t2c"),
+        pytest.param("phi", 1.0, 0.5, id="phi"),
+    ])
+    def test_reoptimize_never_worse_than_fixed(self, clean_fit, clean_window,
+                                               parameter, center, half_width):
+        spec = ScanSpec(parameter, center, half_width, steps=5)
         fixed = scan_parameter(clean_fit, clean_window, spec)
         freed = scan_parameter(clean_fit, clean_window, spec, reoptimize=True)
         for held, re_opt in zip(fixed.rmse, freed.rmse):
-            assert re_opt <= held + 1e-9
+            if held is None:
+                assert re_opt is None
+            else:
+                assert re_opt <= held + 1e-9
+
+
+    # 21 samples make stacks above the small-block size; a cap of 300
+    # evaluations leaves some simplexes unconverged, whose end points move
+    # with any change in the values along the way
+    @pytest.mark.parametrize("parameter, half_width", [
+        ("beta", 0.3), ("omega", 3.0), ("t2c", 40.0), ("phi", 1.5)])
+    def test_lockstep_scan_matches_one_simplex_per_sample(self, parameter,
+                                                          half_width):
+        params = canonical_params()
+        window = window_of(generate(GeneratorSpec(params, 150, 5.0, 9)))
+        fit = fake_fit(params)
+        spec = ScanSpec(parameter, params.theta()[PARAMETER_INDEX[parameter]],
+                        half_width, steps=21)
+        settings = SearchSettings(max_evals=300)
+        curve = scan_parameter(fit, window, spec, reoptimize=True,
+                               settings=settings)
+        expected = reoptimized_one_by_one(fit, window, spec, 300)
+        assert [r is None for r in curve.rmse] == [r is None for r in expected]
+        for got, want in zip(curve.rmse, expected):
+            if want is not None:
+                assert got == pytest.approx(want, rel=1e-9)
 
 
 class TestScanCsv:
