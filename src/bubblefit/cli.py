@@ -6,6 +6,8 @@ pins the inputs, configuration hash, and tool version. Identical
 invocations write byte-identical JSON.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal.
+A window that fails to fit is recorded in the index with its error and
+the other windows are still fitted and written; the run then exits 2.
 """
 
 from __future__ import annotations
@@ -282,40 +284,50 @@ def cmd_detect(config: RunConfig) -> None:
 
 
 def _fit_windows(config: RunConfig):
+    """Fit every accepted window. A window whose fit raises gets `"fit":
+    null` and a `fit_error` in its index entry instead of stopping the run;
+    returns (index, reports, number of failed windows)."""
     _, _, decisions = _detect(config)
     reports: list[tuple[str, BubbleReport]] = []
     index = []
+    failed = 0
     for decision in decisions:
         tag = decision.event.peak_date.isoformat()
         entry = decision.to_dict()
-        if decision.window is None:
-            entry["fit"] = None
-            index.append(entry)
-            continue
-        report = fit_bubble(
-            decision.window,
-            bounds=config.bounds,
-            ranges=config.ranges,
-            scale_choice=config.scale,
-            paper_mode=config.paper_mode,
-        )
-        entry["fit"] = f"fit_{tag}.json"
         index.append(entry)
+        entry["fit"] = None
+        if decision.window is None:
+            continue
+        try:
+            report = fit_bubble(
+                decision.window,
+                bounds=config.bounds,
+                ranges=config.ranges,
+                scale_choice=config.scale,
+                paper_mode=config.paper_mode,
+            )
+        except BubblefitError as exc:
+            entry["fit_error"] = f"{type(exc).__name__}: {exc}"
+            print(f"error: window {tag}: {entry['fit_error']}", file=sys.stderr)
+            failed += 1
+            continue
+        entry["fit"] = f"fit_{tag}.json"
         reports.append((tag, report))
-    return index, reports
+    return index, reports, failed
 
 
-def cmd_fit(config: RunConfig) -> None:
-    index, reports = _fit_windows(config)
+def cmd_fit(config: RunConfig) -> int:
+    index, reports, failed = _fit_windows(config)
     for tag, report in reports:
         _write_json(report.to_dict(), os.path.join(config.out, f"fit_{tag}.json"))
         write_curve_csv(report.best.params, report.fitted_window,
                         os.path.join(config.out, f"curve_{tag}.csv"))
     _write_json(index, os.path.join(config.out, "fit_index.json"))
+    return failed
 
 
-def cmd_scan(config: RunConfig) -> None:
-    index, reports = _fit_windows(config)
+def cmd_scan(config: RunConfig) -> int:
+    index, reports, failed = _fit_windows(config)
     for tag, report in reports:
         best = report.best
         target = report.fitted_window
@@ -330,6 +342,7 @@ def cmd_scan(config: RunConfig) -> None:
             write_scan_csv(curve,
                            os.path.join(config.out, f"scan_{tag}_{name}.csv"))
     _write_json(index, os.path.join(config.out, "scan_index.json"))
+    return failed
 
 
 def _generator_spec_from_json(config: RunConfig) -> GeneratorSpec:
@@ -356,6 +369,8 @@ def _generator_spec_from_json(config: RunConfig) -> GeneratorSpec:
         )
     except KeyError as exc:
         raise ConfigError(f"generator spec is missing {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"malformed generator spec: {exc}") from exc
 
 
 def cmd_generate(config: RunConfig) -> None:
@@ -379,8 +394,11 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         os.makedirs(config.out, exist_ok=True)
-        _DISPATCH[config.command](config)
+        failed = _DISPATCH[config.command](config)
         _write_manifest(config)
+        if failed:
+            print(f"error: {failed} window(s) failed to fit", file=sys.stderr)
+            return 2
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,11 +6,14 @@ recursively partitions the (beta, omega) seed box: run an unbounded
 Nelder-Mead simplex from the box midpoint in (beta, omega, t2c), span a
 hypercube in (beta, omega) between the seed and its solution, then
 recurse into the space below and above that hypercube on each dimension
-while at least the minimum width remains. Each solution takes phi from
-atan2 at its point; every solution is collected, canonicalized,
-deduplicated, and ranked by RMSE. The phi seed bounds only set the phase
-of the reported `seed_used`, the midpoint of the seed box in all four
-parameters.
+while at least the minimum width remains. The boxes overlap (the box
+below on beta spans every omega and the one below on omega every beta),
+so a midpoint can come up again; a seed search is a pure function of
+the seed, so each distinct seed is searched once and a repeated box is
+cut with the stored solution. Each solution takes phi from atan2 at its
+point; every solution is collected, canonicalized, deduplicated, and
+ranked by RMSE. The phi seed bounds only set the phase of the reported
+`seed_used`, the midpoint of the seed box in all four parameters.
 
 Canonical form: omega >= 0 and phi in [0, pi). A negative omega maps
 through cos(-w*x + p) = cos(w*x - p), and a phase in [pi, 2*pi) drops by
@@ -389,6 +392,9 @@ def recursive_seed_search(
 ) -> list[FitResult]:
     """Run the midpoint/hypercube recursion and return ranked fits.
 
+    Each distinct seed is searched once: a box whose midpoint was already
+    searched is cut with that search's result and adds no second
+    solution (it would be an exact copy, which the dedup pass drops).
     Results are canonicalized, deduplicated within DEDUP_TOL, and sorted
     by RMSE ascending with lexicographic (beta, omega, t2c, phi)
     tie-breaking, so identical inputs always produce identical output.
@@ -410,12 +416,16 @@ def recursive_seed_search(
         validity = raw_index_validity(window)
     x_tol, f_tol = _fit_tolerances(window, bounds, settings)
 
-    solutions: list[tuple[NelderMeadResult, tuple]] = []
+    # one outcome per distinct seed, in first-search order
+    solutions: dict[tuple, NelderMeadResult] = {}
 
     def search(lo: np.ndarray, up: np.ndarray) -> None:
         seed = (lo + up) / 2.0
-        outcome = _search_from_seed(objective, seed[:3], x_tol, f_tol, settings)
-        solutions.append((outcome, tuple(seed)))
+        key = tuple(seed)
+        outcome = solutions.get(key)
+        if outcome is None:
+            outcome = _search_from_seed(objective, seed[:3], x_tol, f_tol, settings)
+            solutions[key] = outcome
         bottom = np.minimum(seed[:2], outcome.x[:2])
         top = np.maximum(seed[:2], outcome.x[:2])
         min_widths = (bounds.min_width_beta, bounds.min_width_omega)
@@ -440,7 +450,7 @@ def recursive_seed_search(
     # no min_beta re-check: the best vertex is finite, canonicalizing keeps beta
     solver = WindowSolver(window)
     entries = []
-    for outcome, seed in solutions:
+    for seed, outcome in solutions.items():
         solved = solver.solve(*outcome.x.tolist())
         if solved is None:
             continue

@@ -25,7 +25,6 @@ from bubblefit import (
     LpplParams,
     PriceSeries,
     Scale,
-    SearchSettings,
     canonicalize_theta,
     descriptive_stats,
     find_crash_peaks,
@@ -44,7 +43,7 @@ from bubblefit.crashes import bubble_windows_for_events
 from bubblefit.lppl import window_objective
 from bubblefit.series import load_csv
 
-from conftest import canonical_params, crash_series
+from conftest import NOISY_PARAMS, NOISY_SETTINGS, canonical_params, crash_series
 from test_series import brute_force_jarque_bera
 
 DATA_ENV = "HANG_SENG_CSV"
@@ -89,9 +88,6 @@ START_OVERRIDES = {
 }
 
 RECOVERY_PARAMS = canonical_params()
-NOISY_PARAMS = canonical_params(b=-90.0, c=0.2)
-NOISY_SETTINGS = SearchSettings(x_tol_rel=1e-3, f_tol_rel=1e-6,
-                                max_evals=1200, restarts=0, stall_evals=200)
 
 
 @pytest.fixture(scope="module")

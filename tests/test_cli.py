@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from bubblefit import GeneratorSpec, generate, load_csv, write_csv
+from bubblefit import (
+    GeneratorSpec,
+    PriceSeries,
+    UsageError,
+    generate,
+    load_csv,
+    write_csv,
+)
+from bubblefit import cli
 from bubblefit.cli import main
 
 from conftest import canonical_params, crash_series, series_from_values
@@ -25,6 +33,20 @@ GEN_SPEC = {
 def crash_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "crash.csv"
     write_csv(crash_series(), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def two_crash_csv(tmp_path_factory):
+    """The crash series followed by a copy of itself at 0.85 of its level:
+    two crashes, each with a fittable 320-weekday bubble."""
+    first = crash_series()
+    later = np.busday_offset(np.datetime64(first.dates[-1], "D"),
+                             np.arange(1, len(first) + 1))
+    series = PriceSeries(first.dates + tuple(d.astype(dt.date) for d in later),
+                         np.concatenate([first.values, 0.85 * first.values]))
+    path = tmp_path_factory.mktemp("data") / "two_crashes.csv"
+    write_csv(series, path)
     return path
 
 
@@ -62,6 +84,18 @@ class TestGenerateCommand:
         va = load_csv(out_a / "synthetic.csv", "date", "value").values
         vb = load_csv(out_b / "synthetic.csv", "date", "value").values
         assert not np.array_equal(va, vb)
+
+    @pytest.mark.parametrize("spec", [
+        dict(GEN_SPEC, n_weekdays="many"),
+        [GEN_SPEC],
+        dict(GEN_SPEC, params=dict(GEN_SPEC["params"], anchor_date=20050630)),
+    ], ids=["bad_count", "list", "numeric_date"])
+    def test_malformed_spec_exits_1(self, spec, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert run("--input", str(spec_path), "--command", "generate",
+                   "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestStatsCommand:
@@ -169,6 +203,37 @@ class TestFitCommand:
         report = json.loads((out / index[0]["fit"]).read_text())
         assert report["best_fit"]["classification"] == "not_precursor"
         assert report["best_precursor"] is None
+
+    @pytest.mark.parametrize("command", ["fit", "scan"])
+    def test_a_failing_window_does_not_stop_the_others(
+            self, command, two_crash_csv, tmp_path, monkeypatch):
+        argv = ["--input", str(two_crash_csv), "--command", command,
+                "--seed-bounds", COARSE_SEED_BOUNDS,
+                "--scan-param", "beta", "--scan-steps", "5"]
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        assert run(*argv, "--out", str(clean)) == 0
+        fit_bubble = cli.fit_bubble
+
+        def failing_first(window, **kwargs):
+            if window.end_date == dt.date(2005, 6, 30):
+                raise UsageError("planted failure")
+            return fit_bubble(window, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_bubble", failing_first)
+        assert run(*argv, "--out", str(out)) == 2
+        index_name = f"{command}_index.json"
+        index = json.loads((out / index_name).read_text())
+        clean_index = json.loads((clean / index_name).read_text())
+        assert [e["peak_date"] for e in index] == ["2005-06-30", "2006-11-14"]
+        assert index[0] == dict(clean_index[0], fit=None,
+                                fit_error="UsageError: planted failure")
+        assert index[1] == clean_index[1]
+        written = sorted(p.name for p in out.iterdir())
+        assert written == sorted(p.name for p in clean.iterdir()
+                                 if "2005-06-30" not in p.name)
+        for name in written:
+            if name not in ("manifest.json", index_name):
+                assert (out / name).read_bytes() == (clean / name).read_bytes()
 
 
 class TestScanCommand:

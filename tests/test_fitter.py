@@ -22,10 +22,18 @@ from bubblefit import (
     recursive_seed_search,
     rmse,
 )
-from bubblefit.fitter import _boundary_warnings, classify_theta
+from bubblefit import fitter
+from bubblefit.fitter import _boundary_warnings, _fit_tolerances, classify_theta
 from bubblefit.lppl import linear_solve, window_objective
 
-from conftest import canonical_params, window_of
+from conftest import (
+    ANCHOR,
+    NOISY_PARAMS,
+    NOISY_SETTINGS,
+    canonical_params,
+    window_of,
+)
+from search_oracle import grid_oracle
 
 # keep unit tests quick; the acceptance suite exercises default settings
 LIGHT = SearchSettings(x_tol_rel=1e-4, f_tol_rel=1e-7, max_evals=1500,
@@ -296,6 +304,83 @@ class TestRecursiveSeedSearch:
                                                         min_width_omega=5.0))
         assert report.best.params.beta == pytest.approx(0.33, abs=0.05)
         assert report.best.diagnostics.rmse <= 0.4964 * (1.0 + 1e-4)
+
+    def test_each_seed_is_searched_once(self, small_window, monkeypatch):
+        # this window's partition comes back to several boxes it has
+        # already searched (25 box visits, 15 distinct midpoints)
+        searched = []
+        search_from_seed = fitter._search_from_seed
+
+        def recording(objective, seed, *args):
+            searched.append(tuple(seed.tolist()))
+            return search_from_seed(objective, seed, *args)
+
+        monkeypatch.setattr(fitter, "_search_from_seed", recording)
+        fits = recursive_seed_search(small_window, bounds=LIGHT_BOUNDS,
+                                     settings=LIGHT)
+        assert len(searched) == len(set(searched))
+        assert {f.seed_used[:3] for f in fits} <= set(searched)
+
+    def test_a_seed_search_depends_on_its_seed_alone(self, small_window):
+        objective = window_objective(small_window)
+        x_tol, f_tol = _fit_tolerances(small_window, LIGHT_BOUNDS, LIGHT)
+        seed = np.array([1.0, 10.0, 130.5])
+        first = fitter._search_from_seed(objective, seed, x_tol, f_tol, LIGHT)
+        fitter._search_from_seed(objective, np.array([0.5, 15.0, 130.5]),
+                                 x_tol, f_tol, LIGHT)
+        again = fitter._search_from_seed(objective, seed, x_tol, f_tol, LIGHT)
+        assert first.x.tolist() == again.x.tolist()
+        assert (first.value, first.evaluations, first.converged) == (
+            again.value, again.evaluations, again.converged)
+
+
+# the three bubbles of the benchmark's chained series, (scale, parameters,
+# weekdays, noise sigma), fitted with its coarse seed partition
+CHAIN = (
+    ("raw", dict(a=1000.0, b=-60.0, c=0.05, beta=0.33, omega=6.36, t2c=30.0,
+                 phi=1.0), 300, 0.1),
+    ("log", dict(a=7.78, b=-0.207, c=0.05, beta=0.33, omega=6.36, t2c=30.0,
+                 phi=2.0), 300, 0.0005),
+    ("raw", dict(a=1850.0, b=-90.0, c=0.05, beta=0.33, omega=6.36, t2c=30.0,
+                 phi=0.5), 1150, 1.0),
+)
+COARSE_BOUNDS = SearchBounds(min_width_beta=0.5, min_width_omega=5.0)
+
+
+def assert_search_reaches_oracle(window, best, bounds, settings):
+    """The recursion's best RMSE against a dense grid plus simplex polish,
+    within the simplex's own stopping tolerance f_tol_rel * std(window)."""
+    oracle = grid_oracle(window, bounds, settings)
+    tolerance = settings.f_tol_rel * float(np.std(window.values))
+    print(f"search {best!r} oracle {oracle!r} "
+          f"gap {(best - oracle) / tolerance:.3g} f_tol")
+    assert best <= oracle + tolerance
+
+
+class TestSearchOracle:
+    def test_noise_free_window(self, noise_free_window, noise_free_fits):
+        assert_search_reaches_oracle(noise_free_window,
+                                     noise_free_fits[0].diagnostics.rmse,
+                                     SearchBounds(), SearchSettings())
+
+    @pytest.mark.parametrize("rng_seed", [100, 101])
+    def test_noisy_window(self, rng_seed):
+        window = window_of(generate(GeneratorSpec(
+            NOISY_PARAMS, 400, 0.01 * NOISY_PARAMS.a, rng_seed)))
+        best = recursive_seed_search(window, settings=NOISY_SETTINGS)[0]
+        assert_search_reaches_oracle(window, best.diagnostics.rmse,
+                                     SearchBounds(), NOISY_SETTINGS)
+
+    @pytest.mark.parametrize("k", range(len(CHAIN)))
+    def test_chain_bubble(self, k):
+        scale, fields, n, sigma = CHAIN[k]
+        params = LpplParams(**fields, anchor_date=ANCHOR, scale=Scale(scale))
+        # the benchmark's generator seed for bubble k of its seed 201
+        rng_seed = int(np.random.SeedSequence([201, k]).generate_state(1)[0])
+        window = window_of(generate(GeneratorSpec(params, n, sigma, rng_seed)))
+        best = recursive_seed_search(window, COARSE_BOUNDS)[0]
+        assert_search_reaches_oracle(window, best.diagnostics.rmse,
+                                     COARSE_BOUNDS, SearchSettings())
 
 
 @pytest.fixture(scope="module")
