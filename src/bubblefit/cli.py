@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from . import __version__
 from .crashes import (
@@ -165,12 +165,17 @@ def parse_seed_bounds(text: str | None) -> SearchBounds:
         if not isinstance(entry, (list, tuple)) or len(entry) not in (2, 3):
             raise ConfigError(f"--seed-bounds: {name} needs [lower, upper] or "
                               "[lower, upper, min_width]")
+        try:
+            values = [float(v) for v in entry]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"--seed-bounds: {name} needs numbers, "
+                              f"got {entry}") from exc
         i = PARAMETER_INDEX[name]
-        lower[i], upper[i] = float(entry[0]), float(entry[1])
-        if len(entry) == 3:
+        lower[i], upper[i] = values[:2]
+        if len(values) == 3:
             if name not in widths:
                 raise ConfigError(f"--seed-bounds: {name} takes no minimum width")
-            widths[name] = float(entry[2])
+            widths[name] = values[2]
     return SearchBounds(tuple(lower), tuple(upper),
                         widths["beta"], widths["omega"])
 
@@ -327,17 +332,21 @@ def cmd_fit(config: RunConfig) -> int:
 
 
 def cmd_scan(config: RunConfig) -> int:
+    # built before any fit so that bad scan settings fail fast; each
+    # window's fit then only sets the centers
+    half = config.scan_halfwidth
+    specs = [ScanSpec(parameter=name, center=0.0,
+                      half_width=DEFAULT_HALF_WIDTH[name] if half is None else half,
+                      steps=config.scan_steps)
+             for name in config.scan_params]
     index, reports, failed = _fit_windows(config)
     for tag, report in reports:
         best = report.best
-        target = report.fitted_window
         center = dict(zip(PARAMETER_INDEX, best.params.theta()))
-        for name in config.scan_params:
-            half = (DEFAULT_HALF_WIDTH[name] if config.scan_halfwidth is None
-                    else config.scan_halfwidth)
-            spec = ScanSpec(parameter=name, center=center[name],
-                            half_width=half, steps=config.scan_steps)
-            curve = scan_parameter(best, target, spec,
+        for spec in specs:
+            name = spec.parameter
+            curve = scan_parameter(best, report.fitted_window,
+                                   replace(spec, center=center[name]),
                                    reoptimize=config.reoptimize)
             write_scan_csv(curve,
                            os.path.join(config.out, f"scan_{tag}_{name}.csv"))

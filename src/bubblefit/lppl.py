@@ -170,6 +170,71 @@ class LinearParams(NamedTuple):
     c_degenerate: bool
 
 
+def _fill_columns(f, cos, sin, lg, beta, omega, phi, w) -> None:
+    """In place from the log gaps `lg`, which become t = tan(psi / 2):
+    f = exp(beta lg), cos = (1 - t^2) w = f cos(psi) and, with the phase
+    solved (phi None), sin = t w = f sin(psi) / 2, where w = f / (1 + t^2)
+    goes in the scratch `w`. One row takes float parameters, a stack of
+    rows (rows, 1) columns. Outputs go in positionally: a keyword `out=`
+    costs a ufunc call 0.1-0.25 us more, against about 27 us a `solve`."""
+    np.multiply(lg, beta, f)
+    np.exp(f, f)                       # f = gaps**beta
+    np.multiply(lg, 0.5 * omega, lg)
+    if phi is not None:
+        lg += 0.5 * phi
+    np.tan(lg, lg)
+    np.multiply(lg, lg, w)
+    np.subtract(1.0, w, cos)
+    w += 1.0
+    np.divide(f, w, w)                 # w
+    cos *= w                           # (1 - t^2) w = f cos(psi)
+    if phi is None:
+        np.multiply(lg, w, sin)        # t w = f sin(psi) / 2
+
+
+def _ldlt(g, q, k, sqrt, x):
+    """Solve g x = q for k = 3 or 4 columns into x; returns whether the
+    determinant rule passes. g[i, j], q[i] and x[i] are floats through one
+    row's memoryviews (with math.sqrt) or arrays over a stack of rows (with
+    np.sqrt); + - * / and sqrt are correctly rounded in both, so a row gets
+    the same bits. With floats a zero divisor, which arises only where the
+    rule fails, raises ZeroDivisionError."""
+    # scale every column to unit norm (u are the norms) and factor the
+    # scaled Gram as L D L^T; with d0 = 1 its first column is L's
+    u0, u1, u2 = sqrt(g[0, 0]), sqrt(g[1, 1]), sqrt(g[2, 2])
+    l10 = g[0, 1] / (u0 * u1)
+    l20 = g[0, 2] / (u0 * u2)
+    d1 = 1.0 - l10 * l10
+    l21 = (g[1, 2] / (u1 * u2) - l20 * l10) / d1
+    d2 = 1.0 - l20 * l20 - l21 * l21 * d1
+    det = d1 * d2
+    ok = (u1 > 0.0) & (u2 > 0.0) & (d1 > _DET_MIN) & (det > _DET_MIN)
+    z0 = q[0] / u0
+    z1 = q[1] / u1 - l10 * z0
+    z2 = q[2] / u2 - l20 * z0 - l21 * z1
+    l30 = l31 = l32 = x3 = 0.0
+    if k == 4:
+        u3 = sqrt(g[3, 3])
+        l30 = g[0, 3] / (u0 * u3)
+        l31 = (g[1, 3] / (u1 * u3) - l30 * l10) / d1
+        l32 = (g[2, 3] / (u2 * u3) - l30 * l20 - l31 * l21 * d1) / d2
+        d3 = 1.0 - l30 * l30 - l31 * l31 * d1 - l32 * l32 * d2
+        ok = ok & (u3 > 0.0) & (det * d3 > _DET_MIN)
+        x3 = (q[3] / u3 - l30 * z0 - l31 * z1 - l32 * z2) / d3
+        x[3] = x3 / u3
+    x2 = z2 / d2 - l32 * x3
+    x1 = z1 / d1 - l21 * x2 - l31 * x3
+    x0 = z0 - l10 * x1 - l20 * x2 - l30 * x3
+    x[0], x[1], x[2] = x0 / u0, x1 / u1, x2 / u2
+    return ok
+
+
+def _b_floor_ok(b, d, f_max, b_floor):
+    """The b-floor rule: |b| is at least the floor, or the oscillation
+    term's largest value |d| f_max (d = b c) is below it as well."""
+    return (abs(b) >= b_floor) | (abs(d) * f_max < b_floor)
+
+
 class WindowSolver:
     """The least-squares kernel of one window: preallocated state for
     repeated solves.
@@ -186,8 +251,9 @@ class WindowSolver:
     The normal equations are solved in column-normalized form (the scaled
     Gram has unit diagonal) by an LDL^T factorization, and the SSE comes
     from an explicit residual pass so near-perfect fits keep full
-    precision. Buffers are reused across calls: bind one solver per
-    thread when evaluating in parallel.
+    precision. `solve` and the stacked `rmse_many` run the same
+    `_fill_columns`, `_ldlt` and `_b_floor_ok`. Buffers are reused across
+    calls: bind one solver per thread when evaluating in parallel.
 
     The b-floor is 1e-12 of the data scale. Below it c is unidentifiable
     and reported as 0, which is exact only while the oscillation term
@@ -215,11 +281,13 @@ class WindowSolver:
         design = np.empty((4, n))
         design[0] = 1.0
         self.f, self.cos, self.sin = design[1], design[2], design[3]
-        # per column count: (design rows, their transpose, Gram, X^T y, coefficients)
-        self.systems = {
-            k: (design[:k], design[:k].T, np.empty((k, k)), np.empty(k), np.empty(k))
-            for k in (3, 4)
-        }
+        # per column count: design rows, their transpose, Gram, X^T y,
+        # coefficients, and memoryviews of the last three (fast float items)
+        self.systems = {}
+        for k in (3, 4):
+            gram, xty, coef = np.empty((k, k)), np.empty(k), np.empty(k)
+            self.systems[k] = (design[:k], design[:k].T, gram, xty, coef,
+                               memoryview(gram), memoryview(xty), memoryview(coef))
         self.failure = None
 
     def solve(self, beta: float, omega: float, t2c: float, phi: float | None = None):
@@ -231,82 +299,31 @@ class WindowSolver:
         lg_max = math.log(t2c + self.age_max)
         if not 2.0 * beta * lg_max + self.log_n <= _EXP_MAX:
             return self._reject("overflow")
-        lg, r, f = self.lg, self.r, self.f
-        np.add(self.ages, t2c, out=lg)
-        np.log(lg, out=lg)
-        np.multiply(lg, beta, out=f)
-        np.exp(f, out=f)                   # f = gaps**beta
-        # half-angle columns from t = tan(psi / 2) and w = f / (1 + t^2)
-        cos, sin = self.cos, self.sin
-        np.multiply(lg, 0.5 * omega, out=r)
-        if phi is not None:
-            r += 0.5 * phi
-        np.tan(r, out=r)
-        np.multiply(r, r, out=sin)
-        np.subtract(1.0, sin, out=cos)
-        sin += 1.0
-        np.divide(f, sin, out=sin)         # w
-        cos *= sin                         # (1 - t^2) w = f cos(psi)
-        if phi is None:
-            sin *= r                       # t w = f sin(psi) / 2
-            k = 4
-        else:
-            k = 3
-        design, design_t, gram, xty, coef = self.systems[k]
+        lg = self.lg
+        np.add(self.ages, t2c, lg)
+        np.log(lg, lg)
+        _fill_columns(self.f, self.cos, self.sin, lg, beta, omega, phi, self.sin)
+        k = 4 if phi is None else 3
+        design, design_t, gram, xty, coef, g, q, x = self.systems[k]
         np.dot(design, design_t, out=gram)
         np.dot(design, self.y, out=xty)
-        g = gram.tolist()
-        q = xty.tolist()
-
-        # scale every column to unit norm (u are the norms) and factor the
-        # scaled Gram as L D L^T; with d0 = 1 its first column is L's
-        u0, u1, u2 = math.sqrt(g[0][0]), math.sqrt(g[1][1]), math.sqrt(g[2][2])
-        u3 = math.sqrt(g[3][3]) if k == 4 else 1.0
-        if not (u1 > 0.0 and u2 > 0.0 and u3 > 0.0):
+        try:
+            ok = _ldlt(g, q, k, math.sqrt, x)
+        except ZeroDivisionError:
+            ok = False
+        if not ok:
             return self._reject("collinear")
-        l10 = g[0][1] / (u0 * u1)
-        l20 = g[0][2] / (u0 * u2)
-        d1 = 1.0 - l10 * l10
-        if not d1 > _DET_MIN:
-            return self._reject("collinear")
-        l21 = (g[1][2] / (u1 * u2) - l20 * l10) / d1
-        d2 = 1.0 - l20 * l20 - l21 * l21 * d1
-        det = d1 * d2
-        if not det > _DET_MIN:
-            return self._reject("collinear")
-        z0 = q[0] / u0
-        z1 = q[1] / u1 - l10 * z0
-        z2 = q[2] / u2 - l20 * z0 - l21 * z1
-        l30 = l31 = l32 = x3 = 0.0
+        a, b, d = x[0], x[1], x[2]
         if k == 4:
-            l30 = g[0][3] / (u0 * u3)
-            l31 = (g[1][3] / (u1 * u3) - l30 * l10) / d1
-            l32 = (g[2][3] / (u2 * u3) - l30 * l20 - l31 * l21 * d1) / d2
-            d3 = 1.0 - l30 * l30 - l31 * l31 * d1 - l32 * l32 * d2
-            if not det * d3 > _DET_MIN:
-                return self._reject("collinear")
-            x3 = (q[3] / u3 - l30 * z0 - l31 * z1 - l32 * z2) / d3
-        x2 = z2 / d2 - l32 * x3
-        x1 = z1 / d1 - l21 * x2 - l31 * x3
-        x0 = z0 - l10 * x1 - l20 * x2 - l30 * x3
-        a, b, cos_coef = x0 / u0, x1 / u1, x2 / u2
-
-        coef[0], coef[1], coef[2] = a, b, cos_coef
-        if k == 4:
-            coef[3] = x3 / u3
-            sin_coef = 0.5 * x3 / u3        # the column holds f sin(psi) / 2
-            d, phi = math.hypot(cos_coef, sin_coef), math.atan2(-sin_coef, cos_coef)
-        else:
-            d = cos_coef
-        if abs(b) >= self.b_floor:
-            c = d / b
-        elif abs(d) * math.exp(max(beta, 0.0) * lg_max) < self.b_floor:
-            c = 0.0         # |b c f| <= |d| max(f) is negligible too
-        else:
+            sin_coef = 0.5 * x[3]          # the column holds f sin(psi) / 2
+            d, phi = math.hypot(d, sin_coef), math.atan2(-sin_coef, d)
+        if not _b_floor_ok(b, d, math.exp(max(beta, 0.0) * lg_max), self.b_floor):
             return self._reject("b_floor")
-
+        # below the floor |b c f| <= |d| max(f) is negligible too
+        c = d / b if abs(b) >= self.b_floor else 0.0
+        r = self.r
         np.dot(coef, design, out=r)
-        np.subtract(self.y, r, out=r)
+        np.subtract(self.y, r, r)
         sse = float(np.dot(r, r))
         if not math.isfinite(sse):
             return self._reject("overflow")
@@ -350,8 +367,8 @@ class WindowSolver:
         NaN is inadmissible. Every rule of `rmse_at` and `solve` applies
         row by row: the domain checks, the overflow guard, the determinant
         rule, the b-floor rule and the explicit residual pass. Rows are
-        evaluated in blocks of about _BLOCK_BYTES of design columns, with
-        `solve`'s arithmetic and, through numpy's stacked matmul, its BLAS
+        evaluated in blocks of about _BLOCK_BYTES of design columns by
+        `solve`'s helpers and, through numpy's stacked matmul, its BLAS
         routines, so the values equal `rmse_at`'s bit for bit; only the
         guard and b-floor thresholds use numpy's log, exp and hypot, which
         can differ from the math module's by an ulp. Fewer than _MIN_BLOCK
@@ -390,66 +407,32 @@ class WindowSolver:
     def _rmse_block(self, stack, lg_max) -> np.ndarray:
         """`solve` and `rmse` over a block of points that pass the domain
         checks and the overflow guard (a held phase's negative omega
-        mapped), +inf where a later rule rejects."""
+        mapped), +inf where a later rule rejects: `solve`'s helpers on
+        (rows, n) arrays, with the rules as masks instead of early
+        returns."""
         beta, omega, t2c = stack[:, 0], stack[:, 1], stack[:, 2]
-        phi = stack[:, 3] if stack.shape[1] == 4 else None
+        phi = stack[:, 3, None] if stack.shape[1] == 4 else None
         k = 4 if phi is None else 3
         design = np.empty((beta.size, k, self.y.size))
         design[:, 0] = 1.0
-        f, cos = design[:, 1], design[:, 2]
         lg = np.add(self.ages, t2c[:, None])
         np.log(lg, out=lg)
-        np.multiply(lg, beta[:, None], out=f)
-        np.exp(f, out=f)
-        r = np.multiply(lg, 0.5 * omega[:, None], out=lg)
-        if phi is not None:
-            r += 0.5 * phi[:, None]
-        np.tan(r, out=r)
-        w = np.multiply(r, r)
-        np.subtract(1.0, w, out=cos)
-        w += 1.0
-        np.divide(f, w, out=w)
-        cos *= w
-        if phi is None:
-            np.multiply(r, w, out=design[:, 3])
+        # w in its own buffer: numpy was 30-40 % slower on strided rows
+        sin = design[:, 3] if k == 4 else None
+        _fill_columns(design[:, 1], design[:, 2], sin, lg, beta[:, None],
+                      omega[:, None], phi, np.empty_like(lg))
         # stacked products run the same BLAS routine per row as `solve`'s
         # np.dot calls (syrk for the Gram, gemv for X^T y and the fit, dot
         # for the SSE), so every sum, and with it the value, is the same
         # bit for bit
         g = np.matmul(design, design.transpose(0, 2, 1)).transpose(1, 2, 0)
         q = np.matmul(design, self.y).T
-
-        u0, u1, u2 = np.sqrt(g[0][0]), np.sqrt(g[1][1]), np.sqrt(g[2][2])
-        u3 = np.sqrt(g[3][3]) if k == 4 else 1.0
-        l10 = g[0][1] / (u0 * u1)
-        l20 = g[0][2] / (u0 * u2)
-        d1 = 1.0 - l10 * l10
-        l21 = (g[1][2] / (u1 * u2) - l20 * l10) / d1
-        d2 = 1.0 - l20 * l20 - l21 * l21 * d1
-        det = d1 * d2
-        ok = (u1 > 0.0) & (u2 > 0.0) & (d1 > _DET_MIN) & (det > _DET_MIN)
-        z0 = q[0] / u0
-        z1 = q[1] / u1 - l10 * z0
-        z2 = q[2] / u2 - l20 * z0 - l21 * z1
-        l30 = l31 = l32 = x3 = 0.0
-        if k == 4:
-            l30 = g[0][3] / (u0 * u3)
-            l31 = (g[1][3] / (u1 * u3) - l30 * l10) / d1
-            l32 = (g[2][3] / (u2 * u3) - l30 * l20 - l31 * l21 * d1) / d2
-            d3 = 1.0 - l30 * l30 - l31 * l31 * d1 - l32 * l32 * d2
-            ok &= (u3 > 0.0) & (det * d3 > _DET_MIN)
-            x3 = (q[3] / u3 - l30 * z0 - l31 * z1 - l32 * z2) / d3
-        x2 = z2 / d2 - l32 * x3
-        x1 = z1 / d1 - l21 * x2 - l31 * x3
-        x0 = z0 - l10 * x1 - l20 * x2 - l30 * x3
         coef = np.empty((beta.size, 1, k))
-        coef[:, 0, 0], coef[:, 0, 1], coef[:, 0, 2] = x0 / u0, x1 / u1, x2 / u2
+        ok = _ldlt(g, q, k, np.sqrt, coef[:, 0].T)
         b, d = coef[:, 0, 1], coef[:, 0, 2]
         if k == 4:
-            coef[:, 0, 3] = x3 / u3
             d = np.hypot(d, 0.5 * coef[:, 0, 3])
-        ok &= ((np.abs(b) >= self.b_floor)
-               | (np.abs(d) * np.exp(beta * lg_max) < self.b_floor))
+        ok &= _b_floor_ok(b, d, np.exp(beta * lg_max), self.b_floor)
 
         resid = np.matmul(coef, design)
         np.subtract(self.y, resid, out=resid)

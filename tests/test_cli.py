@@ -247,12 +247,20 @@ class TestScanCommand:
         assert lines[0] == "param,value,rmse"
         assert len(lines) == 42
 
-    def test_zero_halfwidth_exits_1(self, crash_csv, tmp_path):
+    @pytest.mark.parametrize("settings", [
         # 0 is a half-width like any other, not "use the default"
-        assert run("--input", str(crash_csv), "--command", "scan",
-                   "--scan-halfwidth", "0", "--scan-steps", "5",
+        ("--scan-halfwidth", "0", "--scan-steps", "5"),
+        ("--scan-steps", "4"),
+    ], ids=["halfwidth_0", "steps_4"])
+    def test_bad_scan_settings_exit_1_before_fitting(self, settings, crash_csv,
+                                                     tmp_path, monkeypatch):
+        fitted = []
+        monkeypatch.setattr(cli, "fit_bubble",
+                            lambda window, **kwargs: fitted.append(window))
+        assert run("--input", str(crash_csv), "--command", "scan", *settings,
                    "--seed-bounds", COARSE_SEED_BOUNDS,
                    "--out", str(tmp_path / "out")) == 1
+        assert fitted == []
 
     def test_reoptimized_scan_csvs_repeat_byte_for_byte(self, crash_csv, tmp_path):
         outs = [tmp_path / "a", tmp_path / "b"]
@@ -284,10 +292,18 @@ class TestErrorHandling:
         assert code == 1
         assert "nope" in capsys.readouterr().err
 
-    def test_bad_seed_bounds_json_exits_1(self, crash_csv, tmp_path, capsys):
+    @pytest.mark.parametrize("bounds", [
+        "{not json",
+        '{"beta": ["x", 2]}',
+        '{"beta": [null, 2]}',
+        '{"beta": [0, 2, "w"]}',
+    ], ids=["not_json", "text_bound", "null_bound", "text_width"])
+    def test_bad_seed_bounds_json_exits_1(self, bounds, crash_csv, tmp_path,
+                                          capsys):
         code = run("--input", str(crash_csv), "--command", "fit",
-                   "--seed-bounds", "{not json", "--out", str(tmp_path))
+                   "--seed-bounds", bounds, "--out", str(tmp_path))
         assert code == 1
+        assert capsys.readouterr().err.startswith("error: --seed-bounds")
 
     def test_non_positive_value_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

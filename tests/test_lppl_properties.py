@@ -162,4 +162,24 @@ def test_stacked_kernel_matches_the_scalar_one(noisy_window, rows, held, repeat,
     one = np.array([solver.rmse_at(*p) for p in points])
     assert np.array_equal(np.isfinite(many), np.isfinite(one))
     finite = np.isfinite(one)
-    assert np.allclose(many[finite], one[finite], rtol=1e-12, atol=0.0)
+    assert np.array_equal(many[finite], one[finite])
+
+
+@pytest.mark.parametrize("held, causes", [
+    (False, ["ok", "b_floor", "overflow", "collinear", "b_floor", "collinear"]),
+    (True, ["ok", "b_floor", "overflow", "collinear", "b_floor", "ok",
+            "collinear", "collinear"]),
+])
+def test_kernel_rejection_cause_of_each_edge_row(noisy_window, held, causes):
+    # the edge rows inside rmse_at's (beta, t2c) domain, straight into
+    # solve: a held phase's NaN and inf reach it that way, and a zero
+    # divisor in the scalar LDL^T must still read "collinear"
+    solver = WindowSolver(noisy_window)
+    found = []
+    for row in edge_rows(noisy_window, held):
+        if not (row[0] > 0.0 and row[2] >= 1.0):
+            continue
+        with np.errstate(invalid="ignore"):   # tan(inf / 2)
+            solved = solver.solve(*row)
+        found.append("ok" if solved is not None else solver.failure)
+    assert found == causes
