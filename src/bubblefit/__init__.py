@@ -31,7 +31,6 @@ from .fitter import (
     SearchBounds,
     SearchSettings,
     canonicalize_theta,
-    classify_fit,
     fit_bubble,
     nelder_mead,
     recursive_seed_search,
@@ -44,7 +43,6 @@ from .lppl import (
     hazard_rate,
     linear_solve,
     lppl_curve,
-    lppl_value,
     monotonicity_check,
     raw_index_validity,
     rmse,

@@ -57,6 +57,9 @@ COMMANDS = ("stats", "detect", "fit", "scan", "generate")
 _DATE_COLUMN_GUESSES = ("date", "day")
 _VALUE_COLUMN_GUESSES = ("value", "close", "price", "index", "adj close")
 
+# the parameters of SearchBounds.lower and .upper, in their order
+_BOUNDED = ("beta", "omega", "t2c")
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -88,9 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", metavar="DIR",
                    help="output directory (default current directory)")
     p.add_argument("--seed-bounds", default=None, metavar="JSON",
-                   help='seed-bound overrides, e.g. \'{"beta": [0, 2, 0.2], '
-                        '"t2c": [1, 260]}\' (third entry = minimum width '
-                        "for beta/omega)")
+                   help='seed-bound overrides for beta, omega and t2c, e.g. '
+                        '\'{"beta": [0, 2, 0.2], "t2c": [1, 260]}\' (third '
+                        "entry = minimum width for beta/omega)")
     p.add_argument("--precursor-beta", type=float, nargs=2, default=(0.15, 0.51),
                    metavar=("LO", "HI"), help="beta range for precursor "
                    "classification (default 0.15 0.51)")
@@ -160,7 +163,7 @@ def parse_seed_bounds(text: str | None) -> SearchBounds:
     upper = list(default.upper)
     widths = {"beta": default.min_width_beta, "omega": default.min_width_omega}
     for name, entry in spec.items():
-        if name not in PARAMETER_INDEX:
+        if name not in _BOUNDED:
             raise ConfigError(f"--seed-bounds: unknown parameter {name!r}")
         if not isinstance(entry, (list, tuple)) or len(entry) not in (2, 3):
             raise ConfigError(f"--seed-bounds: {name} needs [lower, upper] or "
@@ -170,7 +173,7 @@ def parse_seed_bounds(text: str | None) -> SearchBounds:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"--seed-bounds: {name} needs numbers, "
                               f"got {entry}") from exc
-        i = PARAMETER_INDEX[name]
+        i = _BOUNDED.index(name)
         lower[i], upper[i] = values[:2]
         if len(values) == 3:
             if name not in widths:

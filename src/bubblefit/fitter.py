@@ -12,8 +12,7 @@ so a midpoint can come up again; a seed search is a pure function of
 the seed, so each distinct seed is searched once and a repeated box is
 cut with the stored solution. Each solution takes phi from atan2 at its
 point; every solution is collected, canonicalized, deduplicated, and
-ranked by RMSE. The phi seed bounds only set the phase of the reported
-`seed_used`, the midpoint of the seed box in all four parameters.
+ranked by RMSE.
 
 Canonical form: omega >= 0 and phi in [0, pi). A negative omega maps
 through cos(-w*x + p) = cos(w*x - p), and a phase in [pi, 2*pi) drops by
@@ -48,6 +47,9 @@ DEDUP_TOL = (1e-3, 1e-3, 0.5, 1e-3)
 # a fit this close to a classification bound is flagged, not reclassified
 BOUNDARY_MARGIN = {"beta": 0.01, "omega": 0.01}
 
+# the beta floor of paper mode and of the default mode's constrained best
+BETA_FLOOR = 0.01
+
 
 class Classification(str, Enum):
     PRECURSOR = "precursor"
@@ -70,17 +72,20 @@ class PrecursorRanges:
 
 @dataclass(frozen=True)
 class SearchBounds:
-    """Seed bounds for the four parameters and the recursion minimum widths.
+    """Seed bounds for (beta, omega, t2c) and the recursion minimum widths."""
 
-    The simplex runs over (beta, omega, t2c); the phi bounds only set the
-    phase of each reported seed box midpoint."""
-
-    lower: tuple[float, float, float, float] = (0.0, 0.0, 1.0, 0.0)
-    upper: tuple[float, float, float, float] = (2.0, 20.0, 260.0, math.pi)
+    lower: tuple[float, float, float] = (0.0, 0.0, 1.0)
+    upper: tuple[float, float, float] = (2.0, 20.0, 260.0)
     min_width_beta: float = 0.2
     min_width_omega: float = 2.0
 
     def __post_init__(self):
+        if len(self.lower) != 3 or len(self.upper) != 3:
+            raise UsageError("seed bounds are (beta, omega, t2c) triples")
+        if not all(math.isfinite(v) for v in (*self.lower, *self.upper,
+                                              self.min_width_beta,
+                                              self.min_width_omega)):
+            raise UsageError("seed bounds and minimum widths must be finite")
         for lo, hi in zip(self.lower, self.upper):
             if not lo < hi:
                 raise UsageError("each lower bound must be below its upper bound")
@@ -105,7 +110,7 @@ class SearchSettings:
 class FitResult:
     params: LpplParams
     diagnostics: FitDiagnostics
-    seed_used: tuple[float, float, float, float]
+    seed_used: tuple[float, float, float]
     function_evaluations: int
     converged: bool
     classification: Classification
@@ -297,13 +302,6 @@ def classify_theta(beta: float, omega: float,
     return Classification.NOT_PRECURSOR
 
 
-def classify_fit(result: FitResult,
-                 ranges: PrecursorRanges = PrecursorRanges()) -> Classification:
-    """Classification reads only beta and omega, so it is unchanged by the
-    (c, phi) sign/phase canonicalization."""
-    return classify_theta(result.params.beta, result.params.omega, ranges)
-
-
 def _boundary_warnings(beta: float, omega: float,
                        ranges: PrecursorRanges) -> tuple[str, ...]:
     notes = []
@@ -345,7 +343,7 @@ def _search_from_seed(objective, seed, x_tol, f_tol,
 
 def _fit_tolerances(window: BubbleWindow, bounds: SearchBounds,
                     settings: SearchSettings):
-    widths = np.asarray(bounds.upper[:3]) - np.asarray(bounds.lower[:3])
+    widths = np.asarray(bounds.upper) - np.asarray(bounds.lower)
     x_tol = settings.x_tol_rel * widths
     scale = float(np.std(window.values))
     f_tol = settings.f_tol_rel * (scale if scale > 0.0 else 1.0)
@@ -353,22 +351,19 @@ def _fit_tolerances(window: BubbleWindow, bounds: SearchBounds,
 
 
 def _build_result(window: BubbleWindow, theta, linear, value: float, seed,
-                  evals: int, converged: bool, ranges: PrecursorRanges,
-                  validity: tuple[float, bool] | None) -> FitResult:
+                  evals: int, converged: bool,
+                  ranges: PrecursorRanges) -> FitResult:
     a, b, c = linear
     beta, omega, t2c, phi = theta
     params = LpplParams(a, b, c, beta, omega, t2c, phi,
                         window.anchor_date, window.scale)
     classification = classify_theta(beta, omega, ranges)
     monotone, violations = monotonicity_check(params, window)
-    ratio, raw_ok = validity if validity is not None else (None, None)
     diagnostics = FitDiagnostics(
         rmse=value,
         is_precursor=classification is Classification.PRECURSOR,
         monotone_increasing=monotone,
         violation_dates=tuple(violations),
-        validity_ratio=ratio,
-        raw_fit_valid=raw_ok,
     )
     return FitResult(
         params=params,
@@ -387,8 +382,7 @@ def recursive_seed_search(
     ranges: PrecursorRanges = PrecursorRanges(),
     settings: SearchSettings = SearchSettings(),
     *,
-    min_beta: float | None = None,
-    validity: tuple[float, bool] | None = None,
+    floor_beta: bool = False,
 ) -> list[FitResult]:
     """Run the midpoint/hypercube recursion and return ranked fits.
 
@@ -398,22 +392,19 @@ def recursive_seed_search(
     Results are canonicalized, deduplicated within DEDUP_TOL, and sorted
     by RMSE ascending with lexicographic (beta, omega, t2c, phi)
     tie-breaking, so identical inputs always produce identical output.
-    `min_beta` turns on the reported-fit floor used when mirroring
-    fixed-exponent conventions: points below it evaluate to +inf.
+    `floor_beta` turns on the reported-fit floor used when mirroring
+    fixed-exponent conventions: points with beta below BETA_FLOOR
+    evaluate to +inf.
     """
     if len(window) < 10:
         raise UsageError("need at least 10 observations for a 7-parameter fit")
     base_objective = window_objective(window)
-    if min_beta is None:
-        objective = base_objective
-    else:
-        floor = float(min_beta)
-
+    if floor_beta:
         def objective(theta):
-            return math.inf if theta[0] < floor else base_objective(theta)
+            return math.inf if theta[0] < BETA_FLOOR else base_objective(theta)
+    else:
+        objective = base_objective
 
-    if validity is None and window.scale == Scale.RAW:
-        validity = raw_index_validity(window)
     x_tol, f_tol = _fit_tolerances(window, bounds, settings)
 
     # one outcome per distinct seed, in first-search order
@@ -424,7 +415,7 @@ def recursive_seed_search(
         key = tuple(seed)
         outcome = solutions.get(key)
         if outcome is None:
-            outcome = _search_from_seed(objective, seed[:3], x_tol, f_tol, settings)
+            outcome = _search_from_seed(objective, seed, x_tol, f_tol, settings)
             solutions[key] = outcome
         bottom = np.minimum(seed[:2], outcome.x[:2])
         top = np.maximum(seed[:2], outcome.x[:2])
@@ -447,7 +438,7 @@ def recursive_seed_search(
     # phase held so value and parameters stay consistent (solutions whose
     # basis is numerically degenerate after the ulp-level phase shift are
     # dropped)
-    # no min_beta re-check: the best vertex is finite, canonicalizing keeps beta
+    # no beta floor re-check: the best vertex is finite, canonicalizing keeps beta
     solver = WindowSolver(window)
     entries = []
     for seed, outcome in solutions.items():
@@ -471,8 +462,7 @@ def recursive_seed_search(
             kept.append(entry)
 
     return [
-        _build_result(window, theta, linear, value, seed, evals, conv, ranges,
-                      validity)
+        _build_result(window, theta, linear, value, seed, evals, conv, ranges)
         for value, theta, seed, evals, conv, linear in kept
     ]
 
@@ -538,7 +528,7 @@ def fit_bubble(
 
     Under `auto` the log series is fitted when the raw-fit validity ratio
     exceeds 2, and the raw series otherwise. `paper_mode` prefers the raw
-    scale regardless and floors beta at 0.01 during the search; the
+    scale regardless and floors beta at BETA_FLOOR during the search; the
     default mode instead reports the unconstrained optimum and adds the
     floored best separately when the two differ.
     """
@@ -560,17 +550,16 @@ def fit_bubble(
         reason = "explicit scale choice"
 
     target = window if scale_used == Scale.RAW else window.with_log_values()
-    min_beta = 0.01 if paper_mode else None
     fits = recursive_seed_search(target, bounds, ranges, settings,
-                                 min_beta=min_beta, validity=(ratio, raw_ok))
+                                 floor_beta=paper_mode)
 
     best_precursor = next(
         (f for f in fits if f.classification is Classification.PRECURSOR), None
     )
     constrained_best = None
-    if not paper_mode and fits and fits[0].params.beta < 0.01:
+    if not paper_mode and fits and fits[0].params.beta < BETA_FLOOR:
         floored = recursive_seed_search(target, bounds, ranges, settings,
-                                        min_beta=0.01, validity=(ratio, raw_ok))
+                                        floor_beta=True)
         if floored:
             constrained_best = floored[0]
 

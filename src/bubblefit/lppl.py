@@ -128,8 +128,6 @@ class FitDiagnostics:
     is_precursor: bool
     monotone_increasing: bool
     violation_dates: tuple[dt.date, ...]
-    validity_ratio: float | None
-    raw_fit_valid: bool | None
 
     def to_dict(self) -> dict:
         return {
@@ -137,18 +135,11 @@ class FitDiagnostics:
             "is_precursor": self.is_precursor,
             "monotone_increasing": self.monotone_increasing,
             "violation_dates": [d.isoformat() for d in self.violation_dates],
-            "validity_ratio": self.validity_ratio,
-            "raw_fit_valid": self.raw_fit_valid,
         }
 
 
 def _days_to_critical(params: LpplParams, t: dt.date) -> float:
     return params.t2c + (params.anchor_date - t).days
-
-
-def lppl_value(params: LpplParams, t: dt.date) -> float:
-    """Model value on day `t` (must precede the critical time)."""
-    return float(lppl_curve(params, [t])[0])
 
 
 def lppl_curve(params: LpplParams, dates) -> np.ndarray:
@@ -449,10 +440,14 @@ def linear_solve(beta: float, omega: float, t2c: float, phi: float,
     unidentifiable; it is reported as 0 with the `c_degenerate` flag set.
     A rank-deficient basis (e.g. beta = 0 makes the power column constant)
     raises DegeneracyError naming the collinear pair, and so does a point
-    the kernel rejects for another cause.
+    the kernel rejects for another cause. A non-finite parameter raises
+    UsageError naming it.
     """
     if len(window) == 0:
         raise UsageError("empty window")
+    for name, value in zip(("beta", "omega", "t2c", "phi"), (beta, omega, t2c, phi)):
+        if not math.isfinite(value):
+            raise UsageError(f"{name} must be finite (got {value})")
     solver = WindowSolver(window)
     if t2c + solver.ages.min() < 1.0:
         raise UsageError("all observations must be at least 1 day before tc")

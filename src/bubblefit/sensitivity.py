@@ -49,8 +49,8 @@ class ScanSpec:
             raise UsageError(f"unknown scan parameter {self.parameter!r}")
         if self.steps < 3 or self.steps % 2 == 0:
             raise UsageError("steps must be odd and at least 3 so the center is sampled")
-        if not self.half_width > 0:
-            raise UsageError("half_width must be positive")
+        if not 0 < self.half_width < math.inf:
+            raise UsageError("half_width must be positive and finite")
 
     def grid(self) -> np.ndarray:
         """Sample points, with the center reproduced exactly.

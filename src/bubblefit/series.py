@@ -176,12 +176,11 @@ def load_csv(path, date_column: str, value_column: str, name: str = "") -> Price
     return PriceSeries(dates, values, Scale.RAW, name or str(path))
 
 
-def write_csv(series: PriceSeries, path, date_column: str = "date",
-              value_column: str = "value") -> None:
-    """Write a series in the same CSV schema `load_csv` ingests."""
+def write_csv(series: PriceSeries, path) -> None:
+    """Write a series as `date,value` CSV, a schema `load_csv` ingests."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([date_column, value_column])
+        writer.writerow(["date", "value"])
         for d, v in zip(series.dates, series.values):
             writer.writerow([d.isoformat(), repr(float(v))])
 

@@ -251,7 +251,8 @@ class TestScanCommand:
         # 0 is a half-width like any other, not "use the default"
         ("--scan-halfwidth", "0", "--scan-steps", "5"),
         ("--scan-steps", "4"),
-    ], ids=["halfwidth_0", "steps_4"])
+        ("--scan-halfwidth", "inf"),
+    ], ids=["halfwidth_0", "steps_4", "halfwidth_inf"])
     def test_bad_scan_settings_exit_1_before_fitting(self, settings, crash_csv,
                                                      tmp_path, monkeypatch):
         fitted = []
@@ -297,13 +298,29 @@ class TestErrorHandling:
         '{"beta": ["x", 2]}',
         '{"beta": [null, 2]}',
         '{"beta": [0, 2, "w"]}',
-    ], ids=["not_json", "text_bound", "null_bound", "text_width"])
+        '{"phi": [0, 1]}',
+    ], ids=["not_json", "text_bound", "null_bound", "text_width", "phi"])
     def test_bad_seed_bounds_json_exits_1(self, bounds, crash_csv, tmp_path,
                                           capsys):
         code = run("--input", str(crash_csv), "--command", "fit",
                    "--seed-bounds", bounds, "--out", str(tmp_path))
         assert code == 1
         assert capsys.readouterr().err.startswith("error: --seed-bounds")
+
+    @pytest.mark.parametrize("bounds", [
+        '{"t2c": [1, Infinity]}',
+        '{"beta": [-Infinity, 2]}',
+        '{"beta": [0, 2, NaN]}',
+        '{"omega": [0, 20, Infinity]}',
+    ], ids=["inf_upper", "inf_lower", "nan_width", "inf_width"])
+    def test_non_finite_seed_bounds_exit_1_before_fitting(
+            self, bounds, crash_csv, tmp_path, monkeypatch):
+        fitted = []
+        monkeypatch.setattr(cli, "fit_bubble",
+                            lambda window, **kwargs: fitted.append(window))
+        assert run("--input", str(crash_csv), "--command", "fit",
+                   "--seed-bounds", bounds, "--out", str(tmp_path / "out")) == 1
+        assert fitted == []
 
     def test_non_positive_value_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

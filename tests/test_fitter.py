@@ -15,7 +15,6 @@ from bubblefit import (
     SearchSettings,
     UsageError,
     canonicalize_theta,
-    classify_fit,
     fit_bubble,
     generate,
     nelder_mead,
@@ -212,7 +211,10 @@ class TestClassify:
         assert classify_theta(0.26, 1.45) is Classification.NOT_PRECURSOR
 
     def test_classify_fit_reads_result_params(self, noise_free_fits):
-        assert classify_fit(noise_free_fits[0]) is Classification.PRECURSOR
+        best = noise_free_fits[0]
+        assert best.classification is classify_theta(best.params.beta,
+                                                     best.params.omega)
+        assert best.classification is Classification.PRECURSOR
 
     def test_boundary_warning_for_just_outside_beta(self):
         notes = _boundary_warnings(0.52, 4.95, PrecursorRanges())
@@ -223,11 +225,16 @@ class TestClassify:
 
 
 class TestRecursiveSeedSearch:
+    def test_bounds_are_beta_omega_t2c_triples(self):
+        # the phase is solved, not searched: a phi bound is an error
+        with pytest.raises(UsageError, match="triples"):
+            SearchBounds((0.0, 0.0, 1.0, 0.0), (2.0, 20.0, 260.0, math.pi))
+
     def test_full_width_minimums_explore_single_seed(self, noise_free_window):
         bounds = SearchBounds(min_width_beta=2.0, min_width_omega=20.0)
         fits = recursive_seed_search(noise_free_window, bounds=bounds,
                                      settings=LIGHT)
-        midpoint = (1.0, 10.0, 130.5, math.pi / 2)
+        midpoint = (1.0, 10.0, 130.5)
         assert {f.seed_used for f in fits} == {midpoint}
 
     def test_noise_free_recovery(self, noise_free_fits):
@@ -319,7 +326,7 @@ class TestRecursiveSeedSearch:
         fits = recursive_seed_search(small_window, bounds=LIGHT_BOUNDS,
                                      settings=LIGHT)
         assert len(searched) == len(set(searched))
-        assert {f.seed_used[:3] for f in fits} <= set(searched)
+        assert {f.seed_used for f in fits} <= set(searched)
 
     def test_a_seed_search_depends_on_its_seed_alone(self, small_window):
         objective = window_objective(small_window)
@@ -446,6 +453,11 @@ class TestFitBubble:
         assert payload["best_fit"]["params"]["beta"] == pytest.approx(
             small_report.best.params.beta)
         assert payload["window"]["n_observations"] == len(small_window)
+        assert len(payload["fits"][0]["seed_used"]) == 3
+        assert not {"validity_ratio", "raw_fit_valid"} & set(
+            payload["fits"][0]["diagnostics"])
+        assert payload["validity_ratio"] == small_report.validity_ratio
+        assert payload["raw_fit_valid"] is True
 
     def test_rejects_log_scale_window(self, steep_window):
         with pytest.raises(UsageError):

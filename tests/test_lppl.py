@@ -8,15 +8,16 @@ from scipy.integrate import quad
 from bubblefit import (
     BubbleWindow,
     DegeneracyError,
+    GeneratorSpec,
     HazardParams,
     LpplParams,
     Scale,
     UsageError,
+    generate,
     hazard_log_price_gain,
     hazard_rate,
     linear_solve,
     lppl_curve,
-    lppl_value,
     monotonicity_check,
     raw_index_validity,
     rmse,
@@ -50,20 +51,20 @@ class TestLpplValue:
         for offset in (0, 30, 200):
             day = np.busday_offset(np.datetime64(params.anchor_date, "D"),
                                    -offset).astype(dt.date)
-            assert lppl_value(params, day) == 1000.0
+            assert lppl_curve(params, [day])[0] == 1000.0
 
     def test_hand_computed_point(self):
         # c = 0, a = 100, b = -10, beta = 0.5, gap of 4 days -> 100 - 10*2
         anchor = dt.date(2005, 6, 30)
         params = LpplParams(a=100.0, b=-10.0, c=0.0, beta=0.5, omega=5.0,
                             t2c=4.0, phi=0.0, anchor_date=anchor)
-        assert lppl_value(params, anchor) == pytest.approx(80.0)
+        assert lppl_curve(params, [anchor])[0] == pytest.approx(80.0)
 
     def test_domain_error_at_or_past_critical_time(self):
         params = canonical_params(t2c=1.0)
         past = params.anchor_date + dt.timedelta(days=1)  # Friday; gap = 0
         with pytest.raises(ValueError):
-            lppl_value(params, past)
+            lppl_curve(params, [past])
 
     def test_phase_sign_identity(self):
         # (c, phi) and (-c, phi + pi) draw the same curve
@@ -161,6 +162,20 @@ class TestLinearSolve:
         solved = linear_solve(0.5, 6.0, 20.0, 0.5, window)
         assert solved.c == 0.0
         assert solved.c_degenerate
+
+    @pytest.mark.parametrize("name, value", [
+        ("phi", math.nan), ("phi", math.inf), ("phi", -math.inf),
+        ("beta", math.nan), ("omega", math.nan), ("omega", math.inf),
+        ("t2c", math.nan), ("t2c", math.inf),
+    ])
+    def test_non_finite_parameter_is_named(self, name, value):
+        # before the check these read "collinear", "overflow" or a numpy
+        # RuntimeWarning, none of them naming the parameter
+        params = canonical_params(b=-90.0, c=0.2)
+        window = window_of(generate(GeneratorSpec(params, 300, 10.0, 11)))
+        theta = {"beta": 0.4, "omega": 6.0, "t2c": 30.0, "phi": 1.0, name: value}
+        with pytest.raises(UsageError, match=f"^{name} must be finite"):
+            linear_solve(**theta, window=window)
 
     def test_gap_below_one_day_rejected(self):
         window = make_window(np.linspace(100, 200, 50))

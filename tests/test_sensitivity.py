@@ -27,10 +27,9 @@ from conftest import canonical_params, series_from_values, window_of
 def fake_fit(params: LpplParams) -> FitResult:
     """Wrap bare parameters in the result shape the scanner consumes."""
     diag = FitDiagnostics(rmse=0.0, is_precursor=True, monotone_increasing=True,
-                          violation_dates=(), validity_ratio=1.5,
-                          raw_fit_valid=True)
+                          violation_dates=())
     return FitResult(params=params, diagnostics=diag,
-                     seed_used=params.theta(), function_evaluations=1,
+                     seed_used=params.theta()[:3], function_evaluations=1,
                      converged=True, classification=Classification.PRECURSOR)
 
 
@@ -71,9 +70,8 @@ def clean_fit(clean_window):
     params = canonical_params()
     value = window_objective(clean_window)(params.theta())
     diag = FitDiagnostics(rmse=value, is_precursor=True,
-                          monotone_increasing=True, violation_dates=(),
-                          validity_ratio=1.2, raw_fit_valid=True)
-    return FitResult(params=params, diagnostics=diag, seed_used=params.theta(),
+                          monotone_increasing=True, violation_dates=())
+    return FitResult(params=params, diagnostics=diag, seed_used=params.theta()[:3],
                      function_evaluations=1, converged=True,
                      classification=Classification.PRECURSOR)
 
