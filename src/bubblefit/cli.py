@@ -29,6 +29,8 @@ from .crashes import (
 )
 from .errors import BubblefitError, ConfigError, DataError, UsageError
 from .fitter import (
+    BETA_FLOOR,
+    SCALE_CHOICES,
     BubbleReport,
     PrecursorRanges,
     SearchBounds,
@@ -48,11 +50,10 @@ from .series import (
     load_csv,
     log_returns,
     parse_date,
+    to_json_data,
     write_csv,
 )
 from .synthetic import GeneratorSpec, generate
-
-COMMANDS = ("stats", "detect", "fit", "scan", "generate")
 
 _DATE_COLUMN_GUESSES = ("date", "day")
 _VALUE_COLUMN_GUESSES = ("value", "close", "price", "index", "adj close")
@@ -72,39 +73,45 @@ def build_parser() -> argparse.ArgumentParser:
                    help="input CSV (price series), or generator spec JSON for "
                         "--command generate")
     p.add_argument("--command", required=True, choices=COMMANDS)
-    p.add_argument("--lookback", type=int, default=262, metavar="WEEKDAYS",
-                   help="trailing weekdays a peak must dominate (default 262)")
-    p.add_argument("--drop-to", type=float, default=0.75, metavar="FRACTION",
-                   help="fraction of the peak the index must reach (default 0.75)")
-    p.add_argument("--drop-window", type=int, default=60, metavar="WEEKDAYS",
-                   help="weekdays allowed for the qualifying drop (default 60)")
-    p.add_argument("--min-bubble", type=int, default=131, metavar="WEEKDAYS",
-                   help="minimum observations in a fittable bubble (default 131)")
+    p.add_argument("--lookback", type=int, metavar="WEEKDAYS",
+                   default=CrashConfig.lookback_weekdays,
+                   help="trailing weekdays a peak must dominate (default %(default)s)")
+    p.add_argument("--drop-to", type=float, metavar="FRACTION",
+                   default=CrashConfig.drop_to_fraction,
+                   help="fraction of the peak the index must reach (default %(default)s)")
+    p.add_argument("--drop-window", type=int, metavar="WEEKDAYS",
+                   default=CrashConfig.drop_window_weekdays,
+                   help="weekdays allowed for the qualifying drop (default %(default)s)")
+    p.add_argument("--min-bubble", type=int, metavar="WEEKDAYS",
+                   default=CrashConfig.min_bubble_weekdays,
+                   help="minimum observations in a fittable bubble (default %(default)s)")
     p.add_argument("--overrides", default=None, metavar="CSV",
                    help="CSV of (peak_date, bubble_start_date) start overrides")
-    p.add_argument("--scale", choices=("raw", "log", "auto"), default="auto",
+    p.add_argument("--scale", choices=SCALE_CHOICES, default="auto",
                    help="fit the raw index, its log, or choose by the "
                         "validity ratio (default auto)")
     p.add_argument("--paper-mode", action="store_true",
-                   help="prefer the raw scale and floor beta at 0.01 in "
-                        "reported fits")
+                   help="prefer the raw scale and floor beta at "
+                        f"{BETA_FLOOR} in reported fits")
     p.add_argument("--out", default=".", metavar="DIR",
                    help="output directory (default current directory)")
     p.add_argument("--seed-bounds", default=None, metavar="JSON",
                    help='seed-bound overrides for beta, omega and t2c, e.g. '
                         '\'{"beta": [0, 2, 0.2], "t2c": [1, 260]}\' (third '
                         "entry = minimum width for beta/omega)")
-    p.add_argument("--precursor-beta", type=float, nargs=2, default=(0.15, 0.51),
-                   metavar=("LO", "HI"), help="beta range for precursor "
-                   "classification (default 0.15 0.51)")
-    p.add_argument("--precursor-omega", type=float, nargs=2, default=(4.80, 7.92),
-                   metavar=("LO", "HI"), help="omega range for precursor "
-                   "classification (default 4.80 7.92)")
+    p.add_argument("--precursor-beta", type=float, nargs=2, metavar=("LO", "HI"),
+                   default=PrecursorRanges.beta_range,
+                   help="beta range for precursor classification "
+                        "(default %(default)s)")
+    p.add_argument("--precursor-omega", type=float, nargs=2, metavar=("LO", "HI"),
+                   default=PrecursorRanges.omega_range,
+                   help="omega range for precursor classification "
+                        "(default %(default)s)")
     p.add_argument("--scan-param", action="append", default=None,
                    choices=tuple(PARAMETER_INDEX),
                    help="parameter(s) to scan; repeatable (default all four)")
-    p.add_argument("--scan-steps", type=int, default=201,
-                   help="odd sample count per scan (default 201)")
+    p.add_argument("--scan-steps", type=int, default=ScanSpec.steps,
+                   help="odd sample count per scan (default %(default)s)")
     p.add_argument("--scan-halfwidth", type=float, default=None,
                    help="half-width for scans (default per-parameter)")
     p.add_argument("--reoptimize", action="store_true",
@@ -271,7 +278,7 @@ def _load_series(config: RunConfig):
 def cmd_stats(config: RunConfig) -> None:
     series = _load_series(config)
     report = descriptive_stats(log_returns(series))
-    _write_json(report.__dict__, os.path.join(config.out, "stats.json"))
+    _write_json(to_json_data(report), os.path.join(config.out, "stats.json"))
 
 
 def _detect(config: RunConfig):
@@ -285,7 +292,7 @@ def _detect(config: RunConfig):
 
 def cmd_detect(config: RunConfig) -> None:
     _, events, decisions = _detect(config)
-    _write_json([e.to_dict() for e in events],
+    _write_json(to_json_data(events),
                 os.path.join(config.out, "crashes.json"))
     _write_json([d.to_dict() for d in decisions],
                 os.path.join(config.out, "bubbles.json"))
@@ -391,7 +398,7 @@ def cmd_generate(config: RunConfig) -> None:
     write_csv(series, os.path.join(config.out, "synthetic.csv"))
 
 
-_DISPATCH = {
+COMMANDS = {
     "stats": cmd_stats,
     "detect": cmd_detect,
     "fit": cmd_fit,
@@ -406,7 +413,7 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         os.makedirs(config.out, exist_ok=True)
-        failed = _DISPATCH[config.command](config)
+        failed = COMMANDS[config.command](config)
         _write_manifest(config)
         if failed:
             print(f"error: {failed} window(s) failed to fit", file=sys.stderr)

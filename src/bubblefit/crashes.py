@@ -44,14 +44,6 @@ class CrashEvent:
     qualifying_drop_date: dt.date
     drop_ratio: float
 
-    def to_dict(self) -> dict:
-        return {
-            "peak_date": self.peak_date.isoformat(),
-            "peak_value": self.peak_value,
-            "qualifying_drop_date": self.qualifying_drop_date.isoformat(),
-            "drop_ratio": self.drop_ratio,
-        }
-
 
 @dataclass(frozen=True)
 class BubbleWindow:

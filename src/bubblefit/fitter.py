@@ -39,7 +39,7 @@ from .lppl import (
     raw_index_validity,
     window_objective,
 )
-from .series import Scale
+from .series import Scale, to_json_data
 
 # solutions closer than this in (beta, omega, t2c, phi) are one fit
 DEDUP_TOL = (1e-3, 1e-3, 0.5, 1e-3)
@@ -49,6 +49,9 @@ BOUNDARY_MARGIN = {"beta": 0.01, "omega": 0.01}
 
 # the beta floor of paper mode and of the default mode's constrained best
 BETA_FLOOR = 0.01
+
+# fit_bubble's scale choices: a scale, or "auto" to choose by the window
+SCALE_CHOICES = (*(scale.value for scale in Scale), "auto")
 
 
 class Classification(str, Enum):
@@ -66,6 +69,8 @@ class PrecursorRanges:
 
     def __post_init__(self):
         for lo, hi in (self.beta_range, self.omega_range):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise UsageError("classification ranges must be finite")
             if not lo < hi:
                 raise UsageError("classification ranges must be non-empty")
 
@@ -91,6 +96,12 @@ class SearchBounds:
                 raise UsageError("each lower bound must be below its upper bound")
         if self.min_width_beta <= 0 or self.min_width_omega <= 0:
             raise UsageError("minimum widths must be positive")
+        # the search's first seed is the midpoint, and every seed's t2c is
+        # the t2c midpoint; outside the kernel's domain every window fails
+        beta, _, t2c = ((lo + hi) / 2.0 for lo, hi in zip(self.lower, self.upper))
+        if not (beta > 0.0 and t2c >= 1.0):
+            raise UsageError(f"the seed bounds' midpoint (beta {beta}, t2c {t2c}) "
+                             "needs beta > 0 and t2c >= 1 day")
 
 
 @dataclass(frozen=True)
@@ -117,15 +128,7 @@ class FitResult:
     warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "diagnostics": self.diagnostics.to_dict(),
-            "seed_used": list(self.seed_used),
-            "function_evaluations": self.function_evaluations,
-            "converged": self.converged,
-            "classification": self.classification.value,
-            "warnings": list(self.warnings),
-        }
+        return to_json_data(self)
 
 
 class NelderMeadResult(NamedTuple):
@@ -212,7 +215,7 @@ def _simplex(seed: list, x_tol, f_tol, max_evals: int, stall_evals: int | None):
     f_seed = yield seed
     evals = 1
     if not math.isfinite(f_seed):
-        raise UsageError("objective is not finite at the seed")
+        raise UsageError(f"objective is not finite at the seed {seed}")
 
     sim, fsim = [seed], [f_seed]
     for i in range(ndim):
@@ -487,31 +490,27 @@ class BubbleReport:
         return self.fits[0]
 
     def to_dict(self) -> dict:
-        fits = []
-        for rank, fit in enumerate(self.fits, start=1):
-            d = fit.to_dict()
-            d["rank"] = rank
-            fits.append(d)
+        """JSON-ready data: the fits ranked, the best one repeated, and a
+        summary of the window in place of its series."""
+        fits = [dict(to_json_data(fit), rank=rank)
+                for rank, fit in enumerate(self.fits, start=1)]
+        window = self.window
         return {
             "window": {
-                "start_date": self.window.start_date.isoformat(),
-                "end_date": self.window.end_date.isoformat(),
-                "n_observations": len(self.window),
-                "override_applied": self.window.override_applied,
+                "start_date": to_json_data(window.start_date),
+                "end_date": to_json_data(window.end_date),
+                "n_observations": len(window),
+                "override_applied": window.override_applied,
             },
-            "scale_used": self.scale_used.value,
+            "scale_used": to_json_data(self.scale_used),
             "scale_reason": self.scale_reason,
             "validity_ratio": self.validity_ratio,
             "raw_fit_valid": self.raw_fit_valid,
             "paper_mode": self.paper_mode,
             "fits": fits,
             "best_fit": fits[0] if fits else None,
-            "best_precursor": (
-                self.best_precursor.to_dict() if self.best_precursor else None
-            ),
-            "constrained_best": (
-                self.constrained_best.to_dict() if self.constrained_best else None
-            ),
+            "best_precursor": to_json_data(self.best_precursor),
+            "constrained_best": to_json_data(self.constrained_best),
         }
 
 
@@ -534,7 +533,7 @@ def fit_bubble(
     """
     if window.scale != Scale.RAW:
         raise UsageError("fit_bubble expects a raw-scale window")
-    if scale_choice not in ("raw", "log", "auto"):
+    if scale_choice not in SCALE_CHOICES:
         raise UsageError(f"unknown scale choice {scale_choice!r}")
     ratio, raw_ok = raw_index_validity(window)
 
@@ -546,7 +545,7 @@ def fit_bubble(
         else:
             scale_used, reason = Scale.LOG, f"ratio {ratio:.2f} > 2"
     else:
-        scale_used = Scale.RAW if scale_choice == "raw" else Scale.LOG
+        scale_used = Scale(scale_choice)
         reason = "explicit scale choice"
 
     target = window if scale_used == Scale.RAW else window.with_log_values()

@@ -36,7 +36,6 @@ evaluation there.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
@@ -46,7 +45,7 @@ import numpy as np
 
 from .crashes import BubbleWindow
 from .errors import DegeneracyError, UsageError
-from .series import Scale
+from .series import Scale, write_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -92,19 +91,6 @@ class LpplParams:
         """The nonlinear parameter 4-vector (beta, omega, t2c, phi)."""
         return (self.beta, self.omega, self.t2c, self.phi)
 
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "beta": self.beta,
-            "omega": self.omega,
-            "t2c": self.t2c,
-            "phi": self.phi,
-            "anchor_date": self.anchor_date.isoformat(),
-            "scale": self.scale.value,
-        }
-
 
 @dataclass(frozen=True)
 class HazardParams:
@@ -128,14 +114,6 @@ class FitDiagnostics:
     is_precursor: bool
     monotone_increasing: bool
     violation_dates: tuple[dt.date, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "rmse": self.rmse,
-            "is_precursor": self.is_precursor,
-            "monotone_increasing": self.monotone_increasing,
-            "violation_dates": [d.isoformat() for d in self.violation_dates],
-        }
 
 
 def _days_to_critical(params: LpplParams, t: dt.date) -> float:
@@ -334,15 +312,10 @@ class WindowSolver:
 
         Inadmissible points (t2c < 1, beta <= 0, a degenerate basis,
         numeric overflow) evaluate to +inf rather than raising, which
-        keeps the unbounded search well defined. With the phase held, a
-        negative omega is mapped through the exact identity
-        cos(-omega * x + phi) = cos(omega * x - phi).
+        keeps the unbounded search well defined.
         """
-        if phi is not None:
-            if not math.isfinite(phi):
-                return math.inf
-            if omega < 0.0:
-                omega, phi = -omega, -phi
+        if phi is not None and not math.isfinite(phi):
+            return math.inf
         if not (t2c >= 1.0 and beta > 0.0 and math.isfinite(omega)):
             return math.inf
         solved = self.solve(beta, omega, t2c, phi)
@@ -377,7 +350,6 @@ class WindowSolver:
                 ok = (stack[:, 0] > 0.0) & np.isfinite(stack[:, 1])
                 if stack.shape[1] == 4:
                     ok &= np.isfinite(stack[:, 3])
-                    stack[stack[:, 1] < 0.0, 1::2] *= -1.0   # omega, phi
                 lg_max = np.log(stack[:, 2] + self.age_max)
                 ok &= 2.0 * stack[:, 0] * lg_max + self.log_n <= _EXP_MAX
             rows, stack, lg_max = rows[ok], stack[ok], lg_max[ok]
@@ -397,10 +369,9 @@ class WindowSolver:
 
     def _rmse_block(self, stack, lg_max) -> np.ndarray:
         """`solve` and `rmse` over a block of points that pass the domain
-        checks and the overflow guard (a held phase's negative omega
-        mapped), +inf where a later rule rejects: `solve`'s helpers on
-        (rows, n) arrays, with the rules as masks instead of early
-        returns."""
+        checks and the overflow guard, +inf where a later rule rejects:
+        `solve`'s helpers on (rows, n) arrays, with the rules as masks
+        instead of early returns."""
         beta, omega, t2c = stack[:, 0], stack[:, 1], stack[:, 2]
         phi = stack[:, 3, None] if stack.shape[1] == 4 else None
         k = 4 if phi is None else 3
@@ -567,8 +538,5 @@ def raw_index_validity(window: BubbleWindow) -> tuple[float, bool]:
 def write_curve_csv(params: LpplParams, window: BubbleWindow, path) -> None:
     """Export (date, observed, fitted) rows for plotting."""
     fitted = lppl_curve(params, window.dates)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "observed", "fitted"])
-        for d, obs, fit in zip(window.dates, window.values, fitted):
-            writer.writerow([d.isoformat(), repr(float(obs)), repr(float(fit))])
+    write_rows(path, ("date", "observed", "fitted"),
+               zip(window.dates, window.values, fitted))

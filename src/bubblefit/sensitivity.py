@@ -15,7 +15,6 @@ of (beta, omega, t2c); scanning phi, a 3-D simplex runs over
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -25,6 +24,7 @@ from .crashes import BubbleWindow
 from .errors import UsageError
 from .fitter import FitResult, SearchSettings, nelder_mead
 from .lppl import WindowSolver, window_objective
+from .series import write_rows
 
 PARAMETER_INDEX = {"beta": 0, "omega": 1, "t2c": 2, "phi": 3}
 
@@ -130,8 +130,4 @@ def _reoptimized_rmse(window, theta, index, grid, settings) -> list[float]:
 
 def write_scan_csv(curve: ScanCurve, path) -> None:
     """CSV with header param,value,rmse; undefined samples leave rmse empty."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["param", "value", "rmse"])
-        for name, value, r in curve.rows():
-            writer.writerow([name, repr(value), "" if r is None else repr(r)])
+    write_rows(path, ("param", "value", "rmse"), curve.rows())

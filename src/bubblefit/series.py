@@ -11,7 +11,7 @@ import csv
 import datetime as dt
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 
 import numpy as np
@@ -176,13 +176,45 @@ def load_csv(path, date_column: str, value_column: str, name: str = "") -> Price
     return PriceSeries(dates, values, Scale.RAW, name or str(path))
 
 
-def write_csv(series: PriceSeries, path) -> None:
-    """Write a series as `date,value` CSV, a schema `load_csv` ingests."""
+def to_json_data(record):
+    """`record` as JSON-ready data, recursively: a dataclass field by field,
+    a date as ISO-8601, an Enum by its value, a tuple or list as a list;
+    anything else as it is."""
+    if is_dataclass(record):
+        return {f.name: to_json_data(getattr(record, f.name))
+                for f in fields(record)}
+    if isinstance(record, Enum):
+        return record.value
+    if isinstance(record, dt.date):
+        return record.isoformat()
+    if isinstance(record, (tuple, list)):
+        return [to_json_data(v) for v in record]
+    return record
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dt.date):
+        return value.isoformat()
+    return repr(float(value))
+
+
+def write_rows(path, header, rows) -> None:
+    """Write a CSV: the header, then each row with a date as ISO-8601, a
+    number as `repr(float(x))`, None as an empty cell and a string as it
+    is, so a number reads back to the same float."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["date", "value"])
-        for d, v in zip(series.dates, series.values):
-            writer.writerow([d.isoformat(), repr(float(v))])
+        writer.writerow(header)
+        writer.writerows([_csv_cell(v) for v in row] for row in rows)
+
+
+def write_csv(series: PriceSeries, path) -> None:
+    """Write a series as `date,value` CSV, a schema `load_csv` ingests."""
+    write_rows(path, ("date", "value"), zip(series.dates, series.values))
 
 
 def to_log(series: PriceSeries) -> PriceSeries:

@@ -322,6 +322,34 @@ class TestErrorHandling:
                    "--seed-bounds", bounds, "--out", str(tmp_path / "out")) == 1
         assert fitted == []
 
+    @pytest.mark.parametrize("option", [
+        ("--precursor-omega", "4", "inf"),
+        ("--precursor-beta", "0.1", "inf"),
+        # every seed's t2c is the t2c midpoint, below 1 day here
+        ("--seed-bounds", '{"t2c": [-10, 1]}'),
+        # the first seed's beta is the beta midpoint
+        ("--seed-bounds", '{"beta": [-2, 1]}'),
+    ], ids=["omega_inf", "beta_inf", "t2c_midpoint", "beta_midpoint"])
+    def test_config_outside_the_model_exits_1_before_detection(
+            self, option, crash_csv, tmp_path, monkeypatch, capsys):
+        detected = []
+        monkeypatch.setattr(cli, "find_crash_peaks",
+                            lambda *args: detected.append(args))
+        assert run("--input", str(crash_csv), "--command", "fit", *option,
+                   "--out", str(tmp_path / "out")) == 1
+        assert detected == []
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_seed_failure_names_the_seed(self, crash_csv, tmp_path):
+        # the overflow guard reads the window, so this fails per window
+        out = tmp_path / "out"
+        assert run("--input", str(crash_csv), "--command", "fit",
+                   "--seed-bounds", '{"beta": [0, 400]}', "--out", str(out)) == 2
+        index = json.loads((out / "fit_index.json").read_text())
+        assert index[0]["fit_error"] == ("UsageError: objective is not finite "
+                                         "at the seed [200.0, 10.0, 130.5]")
+
     def test_non_positive_value_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("date,value\n2005-06-27,100.0\n2005-06-28,-5\n")

@@ -216,6 +216,14 @@ class TestClassify:
                                                      best.params.omega)
         assert best.classification is Classification.PRECURSOR
 
+    @pytest.mark.parametrize("ranges", [
+        {"beta_range": (0.1, math.inf)},
+        {"omega_range": (-math.inf, 7.92)},
+    ], ids=["beta_inf", "omega_minus_inf"])
+    def test_non_finite_range_is_rejected(self, ranges):
+        with pytest.raises(UsageError, match="finite"):
+            PrecursorRanges(**ranges)
+
     def test_boundary_warning_for_just_outside_beta(self):
         notes = _boundary_warnings(0.52, 4.95, PrecursorRanges())
         assert any("beta" in n and "0.51" in n for n in notes)
@@ -229,6 +237,14 @@ class TestRecursiveSeedSearch:
         # the phase is solved, not searched: a phi bound is an error
         with pytest.raises(UsageError, match="triples"):
             SearchBounds((0.0, 0.0, 1.0, 0.0), (2.0, 20.0, 260.0, math.pi))
+
+    @pytest.mark.parametrize("lower, upper", [
+        ((0.0, 0.0, -10.0), (2.0, 20.0, 1.0)),
+        ((-2.0, 0.0, 1.0), (1.0, 20.0, 260.0)),
+    ], ids=["t2c_below_1", "beta_not_positive"])
+    def test_midpoint_outside_the_model_is_rejected(self, lower, upper):
+        with pytest.raises(UsageError, match="midpoint"):
+            SearchBounds(lower, upper)
 
     def test_full_width_minimums_explore_single_seed(self, noise_free_window):
         bounds = SearchBounds(min_width_beta=2.0, min_width_omega=20.0)

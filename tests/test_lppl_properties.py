@@ -165,6 +165,20 @@ def test_stacked_kernel_matches_the_scalar_one(noisy_window, rows, held, repeat,
     assert np.array_equal(many[finite], one[finite])
 
 
+@PROPERTY_SETTINGS
+@given(rows=st.lists(st.tuples(BETA, OMEGA, T2C, PHI), min_size=1, max_size=40))
+def test_held_phase_negative_omega_equals_its_mirror(noisy_window, rows):
+    # cos(-omega x + phi) = cos(omega x - phi), and the kernel's columns
+    # follow tan(psi / 2), which is odd, so the two points agree to the bit;
+    # stacks of 1 to 40 rows fall on both sides of the small-block rule
+    solver = WindowSolver(noisy_window)
+    negative = np.array([(b, -w, t, p) for b, w, t, p in rows])
+    mirrored = np.array([(b, w, t, -p) for b, w, t, p in rows])
+    for point, mirror in zip(negative.tolist(), mirrored.tolist()):
+        assert solver.rmse_at(*point) == solver.rmse_at(*mirror)
+    assert np.array_equal(solver.rmse_many(negative), solver.rmse_many(mirrored))
+
+
 @pytest.mark.parametrize("held, causes", [
     (False, ["ok", "b_floor", "overflow", "collinear", "b_floor", "collinear"]),
     (True, ["ok", "b_floor", "overflow", "collinear", "b_floor", "ok",

@@ -7,6 +7,7 @@ import pytest
 
 from bubblefit import (
     ConfigError,
+    CrashEvent,
     DataError,
     DegenerateInputError,
     PriceSeries,
@@ -19,7 +20,8 @@ from bubblefit import (
     to_log,
     write_csv,
 )
-from bubblefit.series import WeekendDataWarning, parse_date
+from bubblefit import series as series_module
+from bubblefit.series import WeekendDataWarning, parse_date, to_json_data
 
 from conftest import series_from_values, weekday_grid_from
 
@@ -90,6 +92,30 @@ class TestLoadCsv:
         back = load_csv(f, "date", "value")
         assert back.dates == series.dates
         assert np.array_equal(back.values, series.values)
+
+
+class TestOutputEncoding:
+    def test_json_data_of_nested_records(self):
+        event = CrashEvent(dt.date(2007, 10, 30), 31638.22, dt.date(2008, 1, 22), 0.74)
+        payload = to_json_data([event, Scale.LOG, (1, None)])
+        assert payload == [
+            {"peak_date": "2007-10-30", "peak_value": 31638.22,
+             "qualifying_drop_date": "2008-01-22", "drop_ratio": 0.74},
+            "log",
+            [1, None],
+        ]
+
+    def test_csv_cells(self, tmp_path):
+        f = tmp_path / "rows.csv"
+        series_module.write_rows(f, ("date", "x", "rmse", "param"), [
+            (dt.date(2005, 6, 30), np.float64(0.1), None, "beta"),
+            (dt.date(2005, 7, 1), 3, 1e-300, "omega"),
+        ])
+        assert f.read_text().splitlines() == [
+            "date,x,rmse,param",
+            "2005-06-30,0.1,,beta",
+            "2005-07-01,3.0,1e-300,omega",
+        ]
 
 
 def test_parse_date_rejects_garbage():
