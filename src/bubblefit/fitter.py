@@ -397,7 +397,7 @@ def recursive_seed_search(
     tie-breaking, so identical inputs always produce identical output.
     `floor_beta` turns on the reported-fit floor used when mirroring
     fixed-exponent conventions: points with beta below BETA_FLOOR
-    evaluate to +inf.
+    evaluate to +inf, and a seed below the floor starts at it.
     """
     if len(window) < 10:
         raise UsageError("need at least 10 observations for a 7-parameter fit")
@@ -414,14 +414,19 @@ def recursive_seed_search(
     solutions: dict[tuple, NelderMeadResult] = {}
 
     def search(lo: np.ndarray, up: np.ndarray) -> None:
-        seed = (lo + up) / 2.0
+        middle = (lo + up) / 2.0
+        seed = middle.copy()
+        if floor_beta:
+            seed[0] = max(seed[0], BETA_FLOOR)
         key = tuple(seed)
         outcome = solutions.get(key)
         if outcome is None:
             outcome = _search_from_seed(objective, seed, x_tol, f_tol, settings)
             solutions[key] = outcome
-        bottom = np.minimum(seed[:2], outcome.x[:2])
-        top = np.maximum(seed[:2], outcome.x[:2])
+        # cut at the midpoint, not at a lifted seed: each sub-box then lies
+        # in one half of its box, and the recursion ends
+        bottom = np.minimum(middle[:2], outcome.x[:2])
+        top = np.maximum(middle[:2], outcome.x[:2])
         min_widths = (bounds.min_width_beta, bounds.min_width_omega)
         for p in (0, 1):
             if bottom[p] - lo[p] >= min_widths[p]:

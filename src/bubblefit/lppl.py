@@ -32,6 +32,16 @@ f sin(psi) = 2 t w. One float64 tan costs about a fifth of a cos or a
 sin per element (2-3 ns against 9-15 ns at n = 1,150 with numpy 2.4.6 on
 a 2-vCPU Xeon VM), and cos plus sin were about half of a phase-solved
 evaluation there.
+
+The kernel holds y above its design rows, in one buffer of rows
+[y; 1; f; cos; sin], so that with X the k design rows one BLAS product,
+X @ [y; X].T, gives [X^T y | Gram], and [-1, x] @ [y; X] gives the
+residual X x - y. The layout exists for the BLAS routine: numpy sends a
+product of an array with its own transpose, X @ X.T, to syrk, which took
+3-4 times as long as a gemm of the same shape (numpy 2.4.6 with its
+bundled OpenBLAS 0.3.31, one thread, same VM: syrk and the gemv for
+X^T y 3.8-9.2 us against 0.9-1.5 us for the one gemm at n = 300 to
+1,150), while operands of different shapes go to gemm.
 """
 
 from __future__ import annotations
@@ -217,6 +227,8 @@ class WindowSolver:
     gives f sin(psi) / 2 = t w directly; the sin column's coefficient is
     therefore 2 C2. Column normalization makes the scaled Gram, and with
     it the determinant and b-floor rules below, independent of that factor.
+    The columns are held as rows under a row of y, and one gemm forms
+    X^T y with the Gram (module docstring: X @ X.T would go to syrk).
     The normal equations are solved in column-normalized form (the scaled
     Gram has unit diagonal) by an LDL^T factorization, and the SSE comes
     from an explicit residual pass so near-perfect fits keep full
@@ -235,28 +247,34 @@ class WindowSolver:
     """
 
     __slots__ = ("y", "ages", "n", "log_n", "age_max", "b_floor", "lg", "r",
-                 "f", "cos", "sin", "systems", "failure")
+                 "f", "cos", "sin", "systems", "blocks", "failure")
 
     def __init__(self, window: BubbleWindow):
-        self.y = np.ascontiguousarray(window.values, dtype=float)
+        n = len(window.values)
+        # y above the design rows {1, f, cos, sin}: see the module docstring
+        rows = np.empty((5, n))
+        rows[0] = window.values
+        rows[1] = 1.0
+        self.y, self.f, self.cos, self.sin = rows[0], rows[2], rows[3], rows[4]
         self.ages = window.ages_days()
-        n = self.y.size
         self.n = float(n)
         self.log_n = math.log(n) if n else 0.0
         self.age_max = float(self.ages.max()) if n else 0.0
         self.b_floor = 1e-12 * max(float(np.max(np.abs(self.y))) if n else 0.0, 1e-12)
         self.lg = np.empty(n)
         self.r = np.empty(n)
-        design = np.empty((4, n))
-        design[0] = 1.0
-        self.f, self.cos, self.sin = design[1], design[2], design[3]
-        # per column count: design rows, their transpose, Gram, X^T y,
-        # coefficients, and memoryviews of the last three (fast float items)
+        # per column count: design rows, the rows y and design and their
+        # transpose, the product [X^T y | Gram], coefficients [-1, x], and
+        # memoryviews of the Gram, X^T y and x (fast float items)
         self.systems = {}
         for k in (3, 4):
-            gram, xty, coef = np.empty((k, k)), np.empty(k), np.empty(k)
-            self.systems[k] = (design[:k], design[:k].T, gram, xty, coef,
-                               memoryview(gram), memoryview(xty), memoryview(coef))
+            product, coef = np.empty((k, k + 1)), np.empty(k + 1)
+            coef[0] = -1.0
+            self.systems[k] = (rows[1:k + 1], rows[:k + 1], rows[:k + 1].T,
+                               product, coef, memoryview(product[:, 1:]),
+                               memoryview(product[:, 0]), memoryview(coef[1:]))
+        # per column count, _rmse_block's buffers, made on its first call
+        self.blocks = {}
         self.failure = None
 
     def solve(self, beta: float, omega: float, t2c: float, phi: float | None = None):
@@ -273,9 +291,8 @@ class WindowSolver:
         np.log(lg, lg)
         _fill_columns(self.f, self.cos, self.sin, lg, beta, omega, phi, self.sin)
         k = 4 if phi is None else 3
-        design, design_t, gram, xty, coef, g, q, x = self.systems[k]
-        np.dot(design, design_t, out=gram)
-        np.dot(design, self.y, out=xty)
+        design, rows, rows_t, product, coef, g, q, x = self.systems[k]
+        np.dot(design, rows_t, out=product)
         try:
             ok = _ldlt(g, q, k, math.sqrt, x)
         except ZeroDivisionError:
@@ -291,8 +308,7 @@ class WindowSolver:
         # below the floor |b c f| <= |d| max(f) is negligible too
         c = d / b if abs(b) >= self.b_floor else 0.0
         r = self.r
-        np.dot(coef, design, out=r)
-        np.subtract(self.y, r, r)
+        np.dot(coef, rows, out=r)          # [-1, x] [y; X] = X x - y
         sse = float(np.dot(r, r))
         if not math.isfinite(sse):
             return self._reject("overflow")
@@ -357,15 +373,18 @@ class WindowSolver:
             for i in rows.tolist():
                 out[i] = self.rmse_at(*points[i].tolist())
             return out
-        columns = 3 if stack.shape[1] == 4 else 4
-        per_row = 8 * columns * self.y.size
-        blocks = -(-rows.size // max(_MIN_BLOCK, _BLOCK_BYTES // per_row))
+        k = 3 if stack.shape[1] == 4 else 4
+        blocks = -(-rows.size // self._block_rows(k))
         size = -(-rows.size // blocks)
         with np.errstate(all="ignore"):
             for start in range(0, rows.size, size):
                 block = slice(start, start + size)
                 out[rows[block]] = self._rmse_block(stack[block], lg_max[block])
         return out
+
+    def _block_rows(self, k: int) -> int:
+        """Rows per block of `rmse_many`: about _BLOCK_BYTES of k columns."""
+        return max(_MIN_BLOCK, _BLOCK_BYTES // (8 * k * self.y.size))
 
     def _rmse_block(self, stack, lg_max) -> np.ndarray:
         """`solve` and `rmse` over a block of points that pass the domain
@@ -375,32 +394,47 @@ class WindowSolver:
         beta, omega, t2c = stack[:, 0], stack[:, 1], stack[:, 2]
         phi = stack[:, 3, None] if stack.shape[1] == 4 else None
         k = 4 if phi is None else 3
-        design = np.empty((beta.size, k, self.y.size))
-        design[:, 0] = 1.0
-        lg = np.add(self.ages, t2c[:, None])
-        np.log(lg, out=lg)
-        # w in its own buffer: numpy was 30-40 % slower on strided rows
-        sin = design[:, 3] if k == 4 else None
-        _fill_columns(design[:, 1], design[:, 2], sin, lg, beta[:, None],
-                      omega[:, None], phi, np.empty_like(lg))
-        # stacked products run the same BLAS routine per row as `solve`'s
-        # np.dot calls (syrk for the Gram, gemv for X^T y and the fit, dot
-        # for the SSE), so every sum, and with it the value, is the same
-        # bit for bit
-        g = np.matmul(design, design.transpose(0, 2, 1)).transpose(1, 2, 0)
-        q = np.matmul(design, self.y).T
-        coef = np.empty((beta.size, 1, k))
-        ok = _ldlt(g, q, k, np.sqrt, coef[:, 0].T)
-        b, d = coef[:, 0, 1], coef[:, 0, 2]
+        rows, lg, w, product, coef, resid = (
+            buffer[:beta.size] for buffer in self._block_buffers(k))
+        np.add(self.ages, t2c[:, None], lg)
+        np.log(lg, lg)
+        sin = rows[:, 4] if k == 4 else None
+        _fill_columns(rows[:, 2], rows[:, 3], sin, lg, beta[:, None],
+                      omega[:, None], phi, w)
+        # per row the same BLAS routines as `solve`'s np.dot calls (gemm
+        # for [X^T y | Gram], gemv for the fit, dot for the SSE), so every
+        # sum, and with it the value, is the same bit for bit
+        design = rows[:, 1:]
+        np.matmul(design, rows.transpose(0, 2, 1), product)
+        p = product.transpose(1, 2, 0)
+        ok = _ldlt(p[:, 1:], p[:, 0], k, np.sqrt, coef[:, 0, 1:].T)
+        b, d = coef[:, 0, 2], coef[:, 0, 3]
         if k == 4:
-            d = np.hypot(d, 0.5 * coef[:, 0, 3])
+            d = np.hypot(d, 0.5 * coef[:, 0, 4])
         ok &= _b_floor_ok(b, d, np.exp(beta * lg_max), self.b_floor)
 
-        resid = np.matmul(coef, design)
-        np.subtract(self.y, resid, out=resid)
+        np.matmul(coef, rows, resid)
         sse = np.matmul(resid, resid.transpose(0, 2, 1))[:, 0, 0]
         ok &= np.isfinite(sse)
         return np.where(ok, np.sqrt(sse / self.n), np.inf)
+
+    def _block_buffers(self, k: int) -> tuple:
+        """`_rmse_block`'s buffers for k columns, held across calls so that
+        a block's cost does not depend on the allocator: the rows y, 1 and
+        the design columns, log gaps, w, [X^T y | Gram], coefficients and
+        residuals of _block_rows(k) points."""
+        buffers = self.blocks.get(k)
+        if buffers is None:
+            size, n = self._block_rows(k), self.y.size
+            rows = np.empty((size, k + 1, n))
+            rows[:, 0] = self.y
+            rows[:, 1] = 1.0
+            coef = np.empty((size, 1, k + 1))
+            coef[:, 0, 0] = -1.0
+            buffers = self.blocks[k] = (
+                rows, np.empty((size, n)), np.empty((size, n)),
+                np.empty((size, k, k + 1)), coef, np.empty((size, 1, n)))
+        return buffers
 
 
 def linear_solve(beta: float, omega: float, t2c: float, phi: float,
@@ -425,7 +459,7 @@ def linear_solve(beta: float, omega: float, t2c: float, phi: float,
     solved = solver.solve(float(beta), float(omega), float(t2c), float(phi))
     if solved is None:
         if solver.failure == "collinear":
-            i, j = _most_collinear_pair(solver.systems[3][2])
+            i, j = _most_collinear_pair(solver.systems[3][3][:, 1:])
             raise DegeneracyError(
                 f"basis columns {_BASIS_NAMES[i]!r} and {_BASIS_NAMES[j]!r} are collinear"
             )

@@ -350,6 +350,20 @@ class TestErrorHandling:
         assert index[0]["fit_error"] == ("UsageError: objective is not finite "
                                          "at the seed [200.0, 10.0, 130.5]")
 
+    def test_paper_mode_seed_box_below_the_beta_floor(self, crash_csv, tmp_path):
+        # the box's beta midpoint 0.005 is below BETA_FLOOR, where the
+        # floored objective is +inf; the search starts there at the floor,
+        # and so does the box below's (midpoint 0.0025), which still ends
+        # the recursion
+        out = tmp_path / "out"
+        assert run("--input", str(crash_csv), "--command", "fit", "--paper-mode",
+                   "--seed-bounds", '{"beta": [0, 0.01, 0.005]}',
+                   "--out", str(out)) == 0
+        index = json.loads((out / "fit_index.json").read_text())
+        best = json.loads((out / index[0]["fit"]).read_text())["best_fit"]
+        assert best["seed_used"][0] == 0.01
+        assert best["classification"] == "precursor"
+
     def test_non_positive_value_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("date,value\n2005-06-27,100.0\n2005-06-28,-5\n")
