@@ -242,8 +242,16 @@ def bubble_windows_for_events(
     config: CrashConfig = CrashConfig(),
     overrides: dict[dt.date, dt.date] | None = None,
 ) -> list[WindowDecision]:
-    """Chain troughs between consecutive crash peaks into bubble windows."""
+    """Chain troughs between consecutive crash peaks into bubble windows.
+
+    `overrides` maps a crash peak's date to an explicit bubble start; a
+    date that is no detected peak raises ConfigError naming it.
+    """
     overrides = overrides or {}
+    unmatched = sorted(set(overrides) - {event.peak_date for event in events})
+    if unmatched:
+        raise ConfigError("override peak dates match no detected crash peak: "
+                          + ", ".join(d.isoformat() for d in unmatched))
     decisions: list[WindowDecision] = []
     previous_peak: dt.date | None = None
     for event in events:

@@ -131,6 +131,20 @@ class FitResult:
         return to_json_data(self)
 
 
+# nelder_mead runs a stack of at least _MIN_LOCKSTEP seeds in arrays
+# (`_lockstep_arrays`) and a smaller one with a generator per seed
+# (`_lockstep`): a round of the arrays costs about 60 us with one live
+# simplex, a generator 4 to 5 us per live simplex, and the two broke even
+# at 32 to 48 seeds on Rosenbrock stacks and 40 to 60 on reoptimized
+# scans (2-vCPU Xeon VM, numpy 2.4.6)
+_MIN_LOCKSTEP = 64
+
+# the phases of `_lockstep_arrays`; a trial phase's point is centroid
+# + _STEP[phase] * step, NaN once stopped
+_STOPPED, _REFLECT, _EXPAND, _OUTSIDE, _INSIDE, _FILL = -1, 0, 1, 2, 3, 4
+_STEP = np.array([1.0, 2.0, 0.5, -0.5, math.nan])
+
+
 class NelderMeadResult(NamedTuple):
     x: np.ndarray
     value: float
@@ -158,17 +172,24 @@ def nelder_mead(objective: Callable, seed, *, x_tol=1e-6, f_tol=1e-8,
     with a (K, ndim) array holding every simplex's next point, NaN rows
     for the simplexes that have stopped, and takes K values back. The
     result is then a list whose row i is exactly what a call with seed
-    row i alone returns, or None where that call raises.
+    row i alone returns, or None where the value at that seed is not
+    finite (where that call raises UsageError). An empty stack gives []
+    without a call.
 
-    The simplex is held as lists of floats: with three or four vertices,
-    numpy's per-operation overhead would cost more than the arithmetic.
-    Every formula keeps numpy's order of operations (the centroid sums
-    the vertices in order, then divides by the dimension), so the
-    trajectory is the same as with array rows, bit for bit.
+    A single seed's simplex is held as lists of floats (`_simplex`): with
+    three or four vertices, numpy's per-operation overhead would cost
+    more than the arithmetic. A stack of fewer than _MIN_LOCKSTEP seeds
+    runs one such generator per seed, a larger one every simplex at once
+    in arrays (`_lockstep_arrays`). Every formula keeps numpy's order of
+    operations (the centroid sums the vertices in order, then divides by
+    the dimension), so the three take the same steps, bit for bit.
     """
     seeds = np.asarray(seed, dtype=float)
     if seeds.ndim == 2:
-        return _lockstep(objective, seeds, x_tol, f_tol, max_evals, stall_evals)
+        # a zero-dimensional simplex has no centroid to hold in arrays
+        arrays = len(seeds) >= _MIN_LOCKSTEP and seeds.shape[1] > 0
+        drive = _lockstep_arrays if arrays else _lockstep
+        return drive(objective, seeds, x_tol, f_tol, max_evals, stall_evals)
     steps = _simplex(seeds.ravel().tolist(), x_tol, f_tol, max_evals, stall_evals)
     x = next(steps)
     try:
@@ -202,6 +223,125 @@ def _lockstep(objective, seeds, x_tol, f_tol, max_evals,
                 pass
             del pending[i]
             batch[i] = math.nan
+    return results
+
+
+def _lockstep_arrays(objective, seeds, x_tol, f_tol, max_evals,
+                     stall_evals) -> list[NelderMeadResult | None]:
+    """`_lockstep` with every simplex held in arrays: sim[j] holds vertex j
+    of every simplex and fsim[j] its value, one column per seed.
+
+    A simplex is at one phase a round: a trial point centroid +
+    _STEP[phase] * step, or, from _FILL on, its vertex phase - _FILL
+    (the seed, a start vertex or a shrunk vertex). A round evaluates every
+    live point in one objective call and applies every transition to the
+    whole stack with masks. The simplexes that finished an iteration are
+    sorted and meet `_simplex`'s stop checks in its order. Every simplex
+    starts in the first round and evaluates once a round, so its
+    evaluation count is the round's. The formulas keep `_simplex`'s order
+    of operations (c + 1.0*s and c + (-0.5)*s are c + s and c - 0.5*s),
+    so every simplex takes its generator's steps, bit for bit.
+    """
+    k, ndim = seeds.shape
+    x_tol = np.broadcast_to(np.asarray(x_tol, dtype=float), (ndim,))
+    column, vertices = np.arange(k), np.arange(ndim + 1)[:, None]
+    # the start vertices: the seed, then the seed with coordinate j - 1 moved
+    sim = np.repeat(seeds[None], ndim + 1, axis=0)
+    moved = np.arange(ndim)
+    sim[moved + 1, :, moved] = np.where(seeds != 0.0, seeds * 1.05, 2.5e-4).T
+    fsim = np.full((ndim + 1, k), math.inf)
+    f_reflected = np.empty(k)
+    phase = np.full(k, _FILL)
+    points = seeds.copy()
+    # an expansion round reads the centroid and step of the round before
+    centroid = step = np.zeros_like(seeds)
+    results: list[NelderMeadResult | None] = [None] * k
+    live, evals = k, 0
+    while live:
+        # NaN counts as +inf: fmin takes the other operand of a NaN
+        f = np.fmin(np.asarray(objective(points), dtype=float), math.inf)
+        evals += 1
+        with np.errstate(all="ignore"):
+            reflect = phase == _REFLECT
+            expand = phase == _EXPAND
+            outside = phase == _OUTSIDE
+            inside = phase == _INSIDE
+            filling = np.flatnonzero(phase >= _FILL)
+            below = f < fsim
+            # reflection: expand below the best, take it below the second
+            # worst, else contract outside (below the worst) or inside
+            take = reflect & ~below[0] & below[-2]
+            f_reflected = np.where(reflect, f, f_reflected)
+            phase = np.where(reflect, np.where(below[0], _EXPAND, np.where(
+                below[-1], _OUTSIDE, _INSIDE)), phase)
+            # expansion: the better of the expanded and the reflected point,
+            # the previous round's centroid + step
+            worse = expand & (f >= f_reflected)
+            new = np.where(worse[:, None], centroid + step, points)
+            f = np.where(worse, f_reflected, f)
+            # contraction: take it, or shrink every vertex toward the best
+            accept = (outside & (f <= f_reflected)) | (inside & below[-1])
+            shrink = np.flatnonzero((outside | inside) & ~accept)
+            replace = take | expand | accept
+            sim[-1] = np.where(replace[:, None], new, sim[-1])
+            fsim[-1] = np.where(replace, f, fsim[-1])
+            if shrink.size:
+                best = sim[0, shrink]
+                sim[1:, shrink] = best + 0.5 * (sim[1:, shrink] - best)
+                phase[shrink] = _FILL + 1
+            done = replace
+            if filling.size:  # vertex evaluations
+                vertex = phase[filling] - _FILL
+                fsim[vertex, filling] = f[filling]
+                phase[filling] += 1
+                done[filling[vertex == ndim]] = True
+
+            # the top of an iteration: sort, then check the budget, the
+            # convergence and the stall
+            order = np.argsort(np.where(done, fsim, vertices), axis=0,
+                               kind="stable")
+            index = order * k + column
+            fsim = fsim.take(index)
+            sim = sim.reshape(-1, ndim).take(index, axis=0)
+            converged = np.zeros(k, dtype=bool)
+            if evals >= max_evals:
+                stop = done
+            else:
+                close = np.flatnonzero(done & (fsim[-1] - fsim[0] <= f_tol))
+                if close.size:
+                    converged[close] = (np.abs(sim[1:, close] - sim[0, close])
+                                        <= x_tol).all(axis=(0, 2))
+                stop = converged.copy()
+                # a simplex stalls once past its deadline without getting
+                # below its bar; every simplex's start vertices are in at
+                # round ndim + 1, its first mark
+                if stall_evals is not None and evals > ndim:
+                    if evals == ndim + 1:
+                        bar, deadline = fsim[0] - f_tol, evals + stall_evals
+                    improved = done & (fsim[0] < bar)
+                    stop |= done & ~improved & (evals > deadline)
+                    bar = np.where(improved, fsim[0] - f_tol, bar)
+                    deadline = np.where(improved, evals + stall_evals, deadline)
+            phase = np.where(done, np.where(stop, _STOPPED, _REFLECT), phase)
+            for i in np.flatnonzero(stop).tolist():
+                results[i] = NelderMeadResult(sim[0, i].copy(), float(fsim[0, i]),
+                                              evals, bool(converged[i]))
+            live -= int(np.count_nonzero(stop))
+            if evals == 1:  # a seed that is not finite stops with None
+                failed = ~np.isfinite(f)
+                phase[failed] = _STOPPED
+                live -= int(np.count_nonzero(failed))
+
+            # the next points; a stopped simplex's is NaN
+            centroid = sim[0]
+            for j in range(1, ndim):
+                centroid = centroid + sim[j]
+            centroid = centroid / ndim
+            step = centroid - sim[-1]
+            points = centroid + _STEP.take(phase, mode="wrap")[:, None] * step
+            filling = np.flatnonzero(phase >= _FILL)
+            if filling.size:
+                points[filling] = sim[phase[filling] - _FILL, filling]
     return results
 
 

@@ -155,6 +155,25 @@ class TestDetectCommand:
         assert bubbles[0]["override_applied"]
         assert bubbles[0]["start_date"] >= "2004-06-01"
 
+    @pytest.mark.parametrize("command", ["detect", "fit", "scan"])
+    def test_unmatched_override_exits_1_before_fitting(
+            self, command, crash_csv, tmp_path, monkeypatch, capsys):
+        overrides = tmp_path / "overrides.csv"
+        overrides.write_text("peak_date,bubble_start_date\n"
+                             "2005-06-30,2004-06-01\n2005-07-30,2004-06-01\n"
+                             "2005-06-03,2004-06-01\n")
+        fitted = []
+        monkeypatch.setattr(cli, "fit_bubble",
+                            lambda window, **kwargs: fitted.append(window))
+        out = tmp_path / "out"
+        assert run("--input", str(crash_csv), "--command", command,
+                   "--overrides", str(overrides), "--out", str(out)) == 1
+        assert fitted == []
+        assert capsys.readouterr().err == (
+            "error: override peak dates match no detected crash peak: "
+            "2005-06-03, 2005-07-30\n")
+        assert not (out / "bubbles.json").exists()
+
     def test_min_bubble_rejection_is_reported(self, tmp_path):
         decline = np.linspace(400, 100, 300)
         rise = np.linspace(102, 450, 80)

@@ -127,23 +127,45 @@ class TestNelderMead:
         assert result.x.tolist() == [0.5000000294126983, 0.4999999705872992]
         assert result.value == 3.0000000000000107
 
-    @pytest.mark.parametrize("budget", [
-        dict(x_tol=1e-8, f_tol=1e-14),
-        dict(x_tol=[1e-6, 1e-3, 1e-6], f_tol=1e-10, max_evals=120,
-             stall_evals=30),
-    ], ids=["converging", "capped"])
-    def test_stacked_seeds_match_single_seed_runs(self, budget):
+    # each budget ends at least one run by its stop rule; seven seeds run
+    # on one generator each, 80 in arrays
+    @pytest.mark.parametrize("budget, stop, ndim, size", [
+        pytest.param(budget, stop, ndim, size, id="-".join(filter(None, (shape, name))))
+        for shape, ndim, size in (("", 3, 7), ("arrays_2d", 2, 80),
+                                  ("arrays_3d", 3, 80))
+        for name, budget, stop in (
+            ("converging", dict(x_tol=1e-8, f_tol=1e-14), "converged"),
+            ("capped", dict(x_tol=[1e-6, 1e-3, 1e-6], f_tol=1e-10,
+                            max_evals=120, stall_evals=30), "capped"),
+            ("stalling", dict(x_tol=1e-8, f_tol=1e-3, max_evals=400,
+                              stall_evals=30), "stalled"))
+    ])
+    def test_stacked_seeds_match_single_seed_runs(self, budget, stop, ndim, size):
         def objective(x):
-            # a Rosenbrock valley cut by an infeasible and a NaN region
-            if x[2] > 4.0:
+            # a Rosenbrock valley cut by two infeasible half-spaces, whose
+            # corner gives tied inf values, and a NaN region; the last
+            # special seed is -inf
+            if x[-1] > 4.0 or x[0] > 4.0:
                 return math.inf
+            if x[0] == -6.0:
+                return -math.inf
             if x[0] < -3.0:
                 return math.nan
             return rosenbrock(x)
 
-        # the fourth seed is infeasible and the fifth NaN: both raise alone
-        seeds = [[3.0, -4.0, 2.0], [-1.0, 1.0, 0.5], [0.0, 0.0, 0.0],
-                 [1.0, 2.0, 5.0], [-3.5, 1.0, 1.0], [1.0, 1.0, 1.0]]
+        # zero coordinates, an infeasible, a NaN and a -inf seed (all three
+        # raise alone), and a seed whose start vertices are both inf
+        special = [[3.0, -4.0, 2.0], [-1.0, 1.0, 0.5], [0.0, 0.0, 0.0],
+                   [1.0, 2.0, 5.0], [-3.5, 1.0, 1.0], [-6.0, 1.0, 1.0],
+                   [3.9, 1.0, 3.9]]
+        columns = [0, 1, 2] if ndim == 3 else [0, 2]
+        rng = np.random.default_rng(ndim)
+        seeds = np.vstack([np.array(special)[:, columns],
+                           rng.uniform(-4.0, 5.0, (size - len(special), ndim))])
+        # which of the two runs the stack
+        assert (size >= fitter._MIN_LOCKSTEP) == (size > len(special))
+        if isinstance(budget["x_tol"], list):
+            budget = dict(budget, x_tol=budget["x_tol"][-ndim:])
         rounds = []
 
         def stacked(batch):
@@ -152,8 +174,8 @@ class TestNelderMead:
             return [objective(x) if ok else math.nan
                     for x, ok in zip(batch.tolist(), live)]
 
-        results = nelder_mead(stacked, np.array(seeds), **budget)
-        evals = []
+        results = nelder_mead(stacked, seeds, **budget)
+        evals, stops = [], set()
         for seed, got in zip(seeds, results):
             try:
                 alone = nelder_mead(objective, seed, **budget)
@@ -165,8 +187,31 @@ class TestNelderMead:
             assert (got.value, got.evaluations, got.converged) == (
                 alone.value, alone.evaluations, alone.converged)
             evals.append(alone.evaluations)
+            stops.add("converged" if alone.converged else
+                      "capped" if alone.evaluations >= budget.get("max_evals", 20000)
+                      else "stalled")
+        assert evals[3:6] == [1, 1, 1]
+        assert stop in stops
         # one call per round, and a simplex's row is NaN once it has stopped
         assert rounds == [[j < e for e in evals] for j in range(max(evals))]
+
+    @pytest.mark.parametrize("min_lockstep", [None, 0], ids=["generators", "arrays"])
+    def test_empty_stack_makes_no_call(self, monkeypatch, min_lockstep):
+        if min_lockstep is not None:
+            monkeypatch.setattr(fitter, "_MIN_LOCKSTEP", min_lockstep)
+
+        def objective(batch):
+            raise AssertionError("called on an empty stack")
+
+        assert nelder_mead(objective, np.empty((0, 3))) == []
+
+    def test_zero_dimensional_stack_matches_single_seed_runs(self):
+        alone = nelder_mead(lambda x: 1.0, [])
+        stacked = nelder_mead(lambda batch: np.ones(len(batch)), np.empty((80, 0)))
+        assert [(r.x.tolist(), r.value, r.evaluations, r.converged)
+                for r in stacked] == [([], 1.0, 1, True)] * 80
+        assert (alone.x.tolist(), alone.value, alone.evaluations,
+                alone.converged) == ([], 1.0, 1, True)
 
 
 class TestCanonicalize:

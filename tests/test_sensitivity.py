@@ -158,26 +158,28 @@ class TestScanParameter:
                 assert re_opt <= held + 1e-9
 
 
-    # 21 samples make stacks above the small-block size; a cap of 300
+    # 21 samples make stacks above the kernel's small-block size and run
+    # on one generator each, 81 run in arrays; a cap of 300
     # evaluations leaves some simplexes unconverged, whose end points move
     # with any change in the values along the way
-    @pytest.mark.parametrize("parameter, half_width", [
-        ("beta", 0.3), ("omega", 3.0), ("t2c", 40.0), ("phi", 1.5)])
+    @pytest.mark.parametrize("parameter, half_width, steps", [
+        pytest.param(parameter, half_width, steps,
+                     id=f"{parameter}-{half_width}" + ("" if steps == 21 else f"-{steps}"))
+        for steps in (21, 81)
+        for parameter, half_width in (("beta", 0.3), ("omega", 3.0),
+                                      ("t2c", 40.0), ("phi", 1.5))
+    ])
     def test_lockstep_scan_matches_one_simplex_per_sample(self, parameter,
-                                                          half_width):
+                                                          half_width, steps):
         params = canonical_params()
         window = window_of(generate(GeneratorSpec(params, 150, 5.0, 9)))
         fit = fake_fit(params)
         spec = ScanSpec(parameter, params.theta()[PARAMETER_INDEX[parameter]],
-                        half_width, steps=21)
+                        half_width, steps=steps)
         settings = SearchSettings(max_evals=300)
         curve = scan_parameter(fit, window, spec, reoptimize=True,
                                settings=settings)
-        expected = reoptimized_one_by_one(fit, window, spec, 300)
-        assert [r is None for r in curve.rmse] == [r is None for r in expected]
-        for got, want in zip(curve.rmse, expected):
-            if want is not None:
-                assert got == pytest.approx(want, rel=1e-9)
+        assert curve.rmse == tuple(reoptimized_one_by_one(fit, window, spec, 300))
 
 
 class TestScanCsv:
