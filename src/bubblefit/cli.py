@@ -369,7 +369,7 @@ def _generator_spec_from_json(config: RunConfig) -> GeneratorSpec:
         with open(config.input) as fh:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise DataError(f"{config.input}: invalid generator spec JSON: {exc}")
+        raise ConfigError(f"{config.input}: invalid generator spec JSON: {exc}") from exc
     try:
         p = payload["params"]
         params = LpplParams(

@@ -37,5 +37,6 @@ class WindowRejection(BubblefitError):
         self.n_observations = n_observations
 
 
-class GenerationError(BubblefitError):
-    """The synthetic generator produced values outside its admissible range."""
+class GenerationError(UsageError):
+    """The synthetic generator produced values outside its admissible
+    range; the spec has to change."""

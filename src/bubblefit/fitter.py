@@ -131,14 +131,6 @@ class FitResult:
         return to_json_data(self)
 
 
-# nelder_mead runs a stack of at least _MIN_LOCKSTEP seeds in arrays
-# (`_lockstep_arrays`) and a smaller one with a generator per seed
-# (`_lockstep`): a round of the arrays costs about 60 us with one live
-# simplex, a generator 4 to 5 us per live simplex, and the two broke even
-# at 32 to 48 seeds on Rosenbrock stacks and 40 to 60 on reoptimized
-# scans (2-vCPU Xeon VM, numpy 2.4.6)
-_MIN_LOCKSTEP = 64
-
 # the phases of `_lockstep_arrays`; a trial phase's point is centroid
 # + _STEP[phase] * step, NaN once stopped
 _STOPPED, _REFLECT, _EXPAND, _OUTSIDE, _INSIDE, _FILL = -1, 0, 1, 2, 3, 4
@@ -178,58 +170,24 @@ def nelder_mead(objective: Callable, seed, *, x_tol=1e-6, f_tol=1e-8,
 
     A single seed's simplex is held as lists of floats (`_simplex`): with
     three or four vertices, numpy's per-operation overhead would cost
-    more than the arithmetic. A stack of fewer than _MIN_LOCKSTEP seeds
-    runs one such generator per seed, a larger one every simplex at once
-    in arrays (`_lockstep_arrays`). Every formula keeps numpy's order of
+    more than the arithmetic. A stack holds every simplex at once in
+    arrays (`_lockstep_arrays`). Every formula keeps numpy's order of
     operations (the centroid sums the vertices in order, then divides by
-    the dimension), so the three take the same steps, bit for bit.
+    the dimension), so the two take the same steps, bit for bit.
     """
     seeds = np.asarray(seed, dtype=float)
     if seeds.ndim == 2:
-        # a zero-dimensional simplex has no centroid to hold in arrays
-        arrays = len(seeds) >= _MIN_LOCKSTEP and seeds.shape[1] > 0
-        drive = _lockstep_arrays if arrays else _lockstep
-        return drive(objective, seeds, x_tol, f_tol, max_evals, stall_evals)
-    steps = _simplex(seeds.ravel().tolist(), x_tol, f_tol, max_evals, stall_evals)
-    x = next(steps)
-    try:
-        while True:
-            value = float(objective(x))
-            x = steps.send(math.inf if math.isnan(value) else value)
-    except StopIteration as stop:
-        return stop.value
-
-
-def _lockstep(objective, seeds, x_tol, f_tol, max_evals,
-              stall_evals) -> list[NelderMeadResult | None]:
-    """`nelder_mead` over a stack of seeds, one objective call per round."""
-    runs = [_simplex(row, x_tol, f_tol, max_evals, stall_evals)
-            for row in seeds.tolist()]
-    results: list[NelderMeadResult | None] = [None] * len(runs)
-    batch = np.full(seeds.shape, math.nan)
-    pending = {i: next(run) for i, run in enumerate(runs)}
-    while pending:
-        for i, x in pending.items():
-            batch[i] = x
-        values = np.asarray(objective(batch), dtype=float).tolist()
-        for i in list(pending):
-            value = values[i]
-            try:
-                pending[i] = runs[i].send(math.inf if math.isnan(value) else value)
-                continue
-            except StopIteration as stop:
-                results[i] = stop.value
-            except UsageError:  # not finite at the seed: the result stays None
-                pass
-            del pending[i]
-            batch[i] = math.nan
-    return results
+        return _lockstep_arrays(objective, seeds, x_tol, f_tol, max_evals,
+                                stall_evals)
+    return _simplex(objective, seeds.ravel().tolist(), x_tol, f_tol, max_evals,
+                    stall_evals)
 
 
 def _lockstep_arrays(objective, seeds, x_tol, f_tol, max_evals,
                      stall_evals) -> list[NelderMeadResult | None]:
-    """`_lockstep` with every simplex held in arrays: sim[j] holds vertex j
-    of every simplex and fsim[j] its value, one column per seed.
+    """`nelder_mead` over a stack of seeds, every simplex held in arrays:
+    sim[j] holds vertex j of every simplex and fsim[j] its value, one
+    column per seed.
 
     A simplex is at one phase a round: a trial point centroid +
     _STEP[phase] * step, or, from _FILL on, its vertex phase - _FILL
@@ -240,7 +198,7 @@ def _lockstep_arrays(objective, seeds, x_tol, f_tol, max_evals,
     starts in the first round and evaluates once a round, so its
     evaluation count is the round's. The formulas keep `_simplex`'s order
     of operations (c + 1.0*s and c + (-0.5)*s are c + s and c - 0.5*s),
-    so every simplex takes its generator's steps, bit for bit.
+    so every simplex takes the steps of its own `_simplex` run, bit for bit.
     """
     k, ndim = seeds.shape
     x_tol = np.broadcast_to(np.asarray(x_tol, dtype=float), (ndim,))
@@ -261,6 +219,10 @@ def _lockstep_arrays(objective, seeds, x_tol, f_tol, max_evals,
         # NaN counts as +inf: fmin takes the other operand of a NaN
         f = np.fmin(np.asarray(objective(points), dtype=float), math.inf)
         evals += 1
+        if evals == 1:  # a seed that is not finite stops with None
+            failed = ~np.isfinite(f)
+            phase[failed] = _STOPPED
+            live -= int(np.count_nonzero(failed))
         with np.errstate(all="ignore"):
             reflect = phase == _REFLECT
             expand = phase == _EXPAND
@@ -270,7 +232,7 @@ def _lockstep_arrays(objective, seeds, x_tol, f_tol, max_evals,
             below = f < fsim
             # reflection: expand below the best, take it below the second
             # worst, else contract outside (below the worst) or inside
-            take = reflect & ~below[0] & below[-2]
+            take = reflect & ~below[0] & below[ndim - 1]
             f_reflected = np.where(reflect, f, f_reflected)
             phase = np.where(reflect, np.where(below[0], _EXPAND, np.where(
                 below[-1], _OUTSIDE, _INSIDE)), phase)
@@ -302,7 +264,7 @@ def _lockstep_arrays(objective, seeds, x_tol, f_tol, max_evals,
                                kind="stable")
             index = order * k + column
             fsim = fsim.take(index)
-            sim = sim.reshape(-1, ndim).take(index, axis=0)
+            sim = sim.reshape((ndim + 1) * k, ndim).take(index, axis=0)
             converged = np.zeros(k, dtype=bool)
             if evals >= max_evals:
                 stop = done
@@ -327,10 +289,6 @@ def _lockstep_arrays(objective, seeds, x_tol, f_tol, max_evals,
                 results[i] = NelderMeadResult(sim[0, i].copy(), float(fsim[0, i]),
                                               evals, bool(converged[i]))
             live -= int(np.count_nonzero(stop))
-            if evals == 1:  # a seed that is not finite stops with None
-                failed = ~np.isfinite(f)
-                phase[failed] = _STOPPED
-                live -= int(np.count_nonzero(failed))
 
             # the next points; a stopped simplex's is NaN
             centroid = sim[0]
@@ -345,14 +303,17 @@ def _lockstep_arrays(objective, seeds, x_tol, f_tol, max_evals,
     return results
 
 
-def _simplex(seed: list, x_tol, f_tol, max_evals: int, stall_evals: int | None):
-    """The algorithm of `nelder_mead` as a generator: it yields each point
-    to evaluate, is sent that point's value (never NaN) back, and returns
-    the NelderMeadResult."""
+def _simplex(objective, seed: list, x_tol, f_tol, max_evals: int,
+             stall_evals: int | None) -> NelderMeadResult:
+    """`nelder_mead` from one seed, its simplex held as lists of floats."""
     ndim = len(seed)
     x_tol = np.broadcast_to(np.asarray(x_tol, dtype=float), (ndim,)).tolist()
 
-    f_seed = yield seed
+    def evaluate(x) -> float:  # NaN counts as +inf
+        value = float(objective(x))
+        return math.inf if math.isnan(value) else value
+
+    f_seed = evaluate(seed)
     evals = 1
     if not math.isfinite(f_seed):
         raise UsageError(f"objective is not finite at the seed {seed}")
@@ -362,7 +323,7 @@ def _simplex(seed: list, x_tol, f_tol, max_evals: int, stall_evals: int | None):
         vertex = list(seed)
         vertex[i] = seed[i] * 1.05 if seed[i] != 0.0 else 2.5e-4
         sim.append(vertex)
-        fsim.append((yield vertex))
+        fsim.append(evaluate(vertex))
         evals += 1
     order = sorted(range(ndim + 1), key=fsim.__getitem__)
     sim, fsim = [sim[j] for j in order], [fsim[j] for j in order]
@@ -387,11 +348,11 @@ def _simplex(seed: list, x_tol, f_tol, max_evals: int, stall_evals: int | None):
         centroid = [c / ndim for c in centroid]
         step = [c - x for c, x in zip(centroid, sim[-1])]
         reflected = [c + s for c, s in zip(centroid, step)]
-        f_reflected = yield reflected
+        f_reflected = evaluate(reflected)
         evals += 1
         if f_reflected < fsim[0]:
             expanded = [c + 2.0 * s for c, s in zip(centroid, step)]
-            f_expanded = yield expanded
+            f_expanded = evaluate(expanded)
             evals += 1
             if f_expanded < f_reflected:
                 sim[-1], fsim[-1] = expanded, f_expanded
@@ -402,11 +363,11 @@ def _simplex(seed: list, x_tol, f_tol, max_evals: int, stall_evals: int | None):
         else:
             if f_reflected < fsim[-1]:
                 contracted = [c + 0.5 * s for c, s in zip(centroid, step)]
-                f_contracted = yield contracted
+                f_contracted = evaluate(contracted)
                 accept = f_contracted <= f_reflected
             else:
                 contracted = [c - 0.5 * s for c, s in zip(centroid, step)]
-                f_contracted = yield contracted
+                f_contracted = evaluate(contracted)
                 accept = f_contracted < fsim[-1]
             evals += 1
             if accept:
@@ -414,7 +375,7 @@ def _simplex(seed: list, x_tol, f_tol, max_evals: int, stall_evals: int | None):
             else:
                 for j in range(1, ndim + 1):
                     sim[j] = [b + 0.5 * (x - b) for b, x in zip(best, sim[j])]
-                    fsim[j] = yield sim[j]
+                    fsim[j] = evaluate(sim[j])
                     evals += 1
         order = sorted(range(ndim + 1), key=fsim.__getitem__)
         sim, fsim = [sim[j] for j in order], [fsim[j] for j in order]

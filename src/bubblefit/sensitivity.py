@@ -90,11 +90,10 @@ def scan_parameter(fit: FitResult, window: BubbleWindow, spec: ScanSpec,
 
     Of `settings`, a reoptimized scan reads only `max_evals`, the cap on
     each sample's simplex; its tolerances are the absolute REOPT_X_TOL
-    and REOPT_F_TOL. The samples' simplexes run in lockstep, in one
-    `nelder_mead` call whose every round is one `WindowSolver.rmse_many`
-    call over all samples; from `fitter._MIN_LOCKSTEP` samples on (the
-    default 201 steps) they are held as one set of arrays. Each sample's
-    value is exactly that of its own simplex, and a sample whose seed is
+    and REOPT_F_TOL. The samples' simplexes run in lockstep, held as one
+    set of arrays, in one `nelder_mead` call whose every round is one
+    `WindowSolver.rmse_many` call over all samples. Each sample's value
+    is exactly that of its own simplex, and a sample whose seed is
     outside the objective's domain is undefined.
     """
     index = PARAMETER_INDEX[spec.parameter]

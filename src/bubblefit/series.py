@@ -136,8 +136,9 @@ def load_csv(path, date_column: str, value_column: str, name: str = "") -> Price
     Rows are sorted by date, so shuffled files produce the same series.
     Weekend rows are dropped with a WeekendDataWarning carrying the count.
 
-    Raises ConfigError when a named column is missing, DataError for
-    non-positive values or duplicate dates.
+    Raises ConfigError when a named column is missing, and DataError for
+    duplicate dates or, naming the row, for an empty field, an
+    unparseable date or value, or a value that is not finite and positive.
     """
     rows: list[tuple[dt.date, float]] = []
     dropped = 0
@@ -152,13 +153,17 @@ def load_csv(path, date_column: str, value_column: str, name: str = "") -> Price
             raw_value = row[value_column]
             if raw_date is None or raw_value is None or not str(raw_value).strip():
                 raise DataError(f"row {lineno}: empty field")
-            d = parse_date(raw_date)
+            try:
+                d = parse_date(raw_date)
+            except DataError as exc:
+                raise DataError(f"row {lineno}: {exc}") from exc
             try:
                 v = float(raw_value)
             except ValueError as exc:
                 raise DataError(f"row {lineno}: unparseable value {raw_value!r}") from exc
             if not math.isfinite(v) or v <= 0:
-                raise DataError(f"row {lineno} ({d.isoformat()}): non-positive value {v}")
+                problem = "non-positive" if math.isfinite(v) else "non-finite"
+                raise DataError(f"row {lineno} ({d.isoformat()}): {problem} value {v}")
             if not is_weekday(d):
                 dropped += 1
                 continue

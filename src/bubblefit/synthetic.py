@@ -29,8 +29,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.n_weekdays < 10:
             raise UsageError("n_weekdays must be at least 10")
-        if self.noise_sigma < 0:
-            raise UsageError("noise_sigma must be non-negative")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise UsageError("noise_sigma must be finite and non-negative")
 
 
 def weekday_grid(end: dt.date, n: int) -> tuple[dt.date, ...]:

@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import json
+import math
 
 import numpy as np
 import pytest
@@ -85,14 +86,22 @@ class TestGenerateCommand:
         vb = load_csv(out_b / "synthetic.csv", "date", "value").values
         assert not np.array_equal(va, vb)
 
-    @pytest.mark.parametrize("spec", [
-        dict(GEN_SPEC, n_weekdays="many"),
-        [GEN_SPEC],
-        dict(GEN_SPEC, params=dict(GEN_SPEC["params"], anchor_date=20050630)),
-    ], ids=["bad_count", "list", "numeric_date"])
-    def test_malformed_spec_exits_1(self, spec, tmp_path, capsys):
+    # json writes NaN and Infinity as bare words, which it also reads
+    @pytest.mark.parametrize("text", [
+        json.dumps(dict(GEN_SPEC, n_weekdays="many")),
+        json.dumps([GEN_SPEC]),
+        json.dumps(dict(GEN_SPEC, params=dict(GEN_SPEC["params"],
+                                              anchor_date=20050630))),
+        json.dumps(GEN_SPEC)[:-1],
+        json.dumps(dict(GEN_SPEC, noise_sigma=math.nan)),
+        json.dumps(dict(GEN_SPEC, noise_sigma=math.inf)),
+        json.dumps(dict(GEN_SPEC, params=dict(GEN_SPEC["params"], a=100.0),
+                        noise_sigma=1000.0)),
+    ], ids=["bad_count", "list", "numeric_date", "not_json", "nan_noise",
+            "inf_noise", "noise_too_large"])
+    def test_malformed_spec_exits_1(self, text, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(spec))
+        spec_path.write_text(text)
         assert run("--input", str(spec_path), "--command", "generate",
                    "--out", str(tmp_path / "out")) == 1
         assert capsys.readouterr().err.startswith("error: ")

@@ -127,8 +127,8 @@ class TestNelderMead:
         assert result.x.tolist() == [0.5000000294126983, 0.4999999705872992]
         assert result.value == 3.0000000000000107
 
-    # each budget ends at least one run by its stop rule; seven seeds run
-    # on one generator each, 80 in arrays
+    # each budget ends at least one run by its stop rule, on stacks of 7
+    # and of 80 seeds
     @pytest.mark.parametrize("budget, stop, ndim, size", [
         pytest.param(budget, stop, ndim, size, id="-".join(filter(None, (shape, name))))
         for shape, ndim, size in (("", 3, 7), ("arrays_2d", 2, 80),
@@ -162,8 +162,6 @@ class TestNelderMead:
         rng = np.random.default_rng(ndim)
         seeds = np.vstack([np.array(special)[:, columns],
                            rng.uniform(-4.0, 5.0, (size - len(special), ndim))])
-        # which of the two runs the stack
-        assert (size >= fitter._MIN_LOCKSTEP) == (size > len(special))
         if isinstance(budget["x_tol"], list):
             budget = dict(budget, x_tol=budget["x_tol"][-ndim:])
         rounds = []
@@ -195,23 +193,34 @@ class TestNelderMead:
         # one call per round, and a simplex's row is NaN once it has stopped
         assert rounds == [[j < e for e in evals] for j in range(max(evals))]
 
-    @pytest.mark.parametrize("min_lockstep", [None, 0], ids=["generators", "arrays"])
-    def test_empty_stack_makes_no_call(self, monkeypatch, min_lockstep):
-        if min_lockstep is not None:
-            monkeypatch.setattr(fitter, "_MIN_LOCKSTEP", min_lockstep)
+    def test_one_row_stack_matches_single_seed_run(self):
+        seed = [3.0, -4.0, 2.0]
+        [got] = nelder_mead(lambda batch: [rosenbrock(x) for x in batch], [seed],
+                            x_tol=1e-8, f_tol=1e-14)
+        alone = nelder_mead(rosenbrock, seed, x_tol=1e-8, f_tol=1e-14)
+        assert got.x.tolist() == alone.x.tolist()
+        assert (got.value, got.evaluations, got.converged) == (
+            alone.value, alone.evaluations, alone.converged)
 
+    def test_empty_stack_makes_no_call(self):
         def objective(batch):
             raise AssertionError("called on an empty stack")
 
         assert nelder_mead(objective, np.empty((0, 3))) == []
 
     def test_zero_dimensional_stack_matches_single_seed_runs(self):
-        alone = nelder_mead(lambda x: 1.0, [])
-        stacked = nelder_mead(lambda batch: np.ones(len(batch)), np.empty((80, 0)))
-        assert [(r.x.tolist(), r.value, r.evaluations, r.converged)
-                for r in stacked] == [([], 1.0, 1, True)] * 80
-        assert (alone.x.tolist(), alone.value, alone.evaluations,
-                alone.converged) == ([], 1.0, 1, True)
+        # a budget of one evaluation ends a simplex in the round that
+        # rejects a seed that is not finite
+        values = [1.0] * 77 + [math.inf, math.nan, -math.inf]
+        for max_evals, converged in ((20000, True), (1, False)):
+            alone = nelder_mead(lambda x: 1.0, [], max_evals=max_evals)
+            stacked = nelder_mead(lambda batch: values, np.empty((80, 0)),
+                                  max_evals=max_evals)
+            assert stacked[77:] == [None] * 3
+            assert [(r.x.tolist(), r.value, r.evaluations, r.converged)
+                    for r in stacked[:77]] == [([], 1.0, 1, converged)] * 77
+            assert (alone.x.tolist(), alone.value, alone.evaluations,
+                    alone.converged) == ([], 1.0, 1, converged)
 
 
 class TestCanonicalize:

@@ -158,10 +158,9 @@ class TestScanParameter:
                 assert re_opt <= held + 1e-9
 
 
-    # 21 samples make stacks above the kernel's small-block size and run
-    # on one generator each, 81 run in arrays; a cap of 300
-    # evaluations leaves some simplexes unconverged, whose end points move
-    # with any change in the values along the way
+    # 21 and 81 samples make stacks above the kernel's small-block size; a
+    # cap of 300 evaluations leaves some simplexes unconverged, whose end
+    # points move with any change in the values along the way
     @pytest.mark.parametrize("parameter, half_width, steps", [
         pytest.param(parameter, half_width, steps,
                      id=f"{parameter}-{half_width}" + ("" if steps == 21 else f"-{steps}"))

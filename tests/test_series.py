@@ -73,6 +73,20 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="1970-01-05"):
             load_csv(f, "date", "value")
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_non_finite_value_names_row(self, tmp_path, value):
+        f = tmp_path / "inf.csv"
+        write_rows(f, ["1970-01-02,150.0", f"1970-01-05,{value}"])
+        with pytest.raises(DataError,
+                           match=rf"row 3 \(1970-01-05\): non-finite value {value}"):
+            load_csv(f, "date", "value")
+
+    def test_unparseable_date_names_row(self, tmp_path):
+        f = tmp_path / "date.csv"
+        write_rows(f, ["1970-01-02,150.0", "1970-13-05,151.0"])
+        with pytest.raises(DataError, match="row 3: unparseable date: '1970-13-05'"):
+            load_csv(f, "date", "value")
+
     def test_duplicate_date_is_data_error(self, tmp_path):
         f = tmp_path / "dup.csv"
         write_rows(f, ["1970-01-02,150.0", "1970-01-02,151.0"])
