@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from . import __version__
 from .crashes import (
@@ -73,17 +73,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="input CSV (price series), or generator spec JSON for "
                         "--command generate")
     p.add_argument("--command", required=True, choices=COMMANDS)
-    p.add_argument("--lookback", type=int, metavar="WEEKDAYS",
-                   default=CrashConfig.lookback_weekdays,
+    p.add_argument("--lookback", dest="lookback_weekdays", type=int,
+                   metavar="WEEKDAYS", default=CrashConfig.lookback_weekdays,
                    help="trailing weekdays a peak must dominate (default %(default)s)")
-    p.add_argument("--drop-to", type=float, metavar="FRACTION",
-                   default=CrashConfig.drop_to_fraction,
+    p.add_argument("--drop-to", dest="drop_to_fraction", type=float,
+                   metavar="FRACTION", default=CrashConfig.drop_to_fraction,
                    help="fraction of the peak the index must reach (default %(default)s)")
-    p.add_argument("--drop-window", type=int, metavar="WEEKDAYS",
-                   default=CrashConfig.drop_window_weekdays,
+    p.add_argument("--drop-window", dest="drop_window_weekdays", type=int,
+                   metavar="WEEKDAYS", default=CrashConfig.drop_window_weekdays,
                    help="weekdays allowed for the qualifying drop (default %(default)s)")
-    p.add_argument("--min-bubble", type=int, metavar="WEEKDAYS",
-                   default=CrashConfig.min_bubble_weekdays,
+    p.add_argument("--min-bubble", dest="min_bubble_weekdays", type=int,
+                   metavar="WEEKDAYS", default=CrashConfig.min_bubble_weekdays,
                    help="minimum observations in a fittable bubble (default %(default)s)")
     p.add_argument("--overrides", default=None, metavar="CSV",
                    help="CSV of (peak_date, bubble_start_date) start overrides")
@@ -107,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=PrecursorRanges.omega_range,
                    help="omega range for precursor classification "
                         "(default %(default)s)")
-    p.add_argument("--scan-param", action="append", default=None,
-                   choices=tuple(PARAMETER_INDEX),
+    p.add_argument("--scan-param", dest="scan_params", action="append",
+                   default=None, choices=tuple(PARAMETER_INDEX),
                    help="parameter(s) to scan; repeatable (default all four)")
     p.add_argument("--scan-steps", type=int, default=ScanSpec.steps,
                    help="odd sample count per scan (default %(default)s)")
@@ -132,10 +132,10 @@ class RunConfig:
     input: str
     out: str
     crash_config: CrashConfig
-    overrides_path: str | None
+    overrides: str | None
     scale: str
     paper_mode: bool
-    bounds: SearchBounds
+    seed_bounds: SearchBounds
     ranges: PrecursorRanges
     scan_params: tuple[str, ...]
     scan_steps: int
@@ -149,9 +149,7 @@ class RunConfig:
         """The configuration as JSON-ready fields, crash settings flattened."""
         d = asdict(self)
         ranges = d.pop("ranges")
-        d.update(d.pop("crash_config"), overrides=d.pop("overrides_path"),
-                 seed_bounds=d.pop("bounds"),
-                 precursor_beta=ranges["beta_range"],
+        d.update(d.pop("crash_config"), precursor_beta=ranges["beta_range"],
                  precursor_omega=ranges["omega_range"])
         return d
 
@@ -191,32 +189,17 @@ def parse_seed_bounds(text: str | None) -> SearchBounds:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    crash_config = CrashConfig(
-        lookback_weekdays=args.lookback,
-        drop_to_fraction=args.drop_to,
-        drop_window_weekdays=args.drop_window,
-        min_bubble_weekdays=args.min_bubble,
-    )
-    scan_params = tuple(args.scan_param) if args.scan_param else tuple(PARAMETER_INDEX)
-    return RunConfig(
-        command=args.command,
-        input=args.input,
-        out=args.out,
-        crash_config=crash_config,
-        overrides_path=args.overrides,
-        scale=args.scale,
-        paper_mode=args.paper_mode,
-        bounds=parse_seed_bounds(args.seed_bounds),
-        ranges=PrecursorRanges(tuple(args.precursor_beta),
-                               tuple(args.precursor_omega)),
-        scan_params=scan_params,
-        scan_steps=args.scan_steps,
-        scan_halfwidth=args.scan_halfwidth,
-        reoptimize=args.reoptimize,
-        rng_seed=args.rng_seed,
-        date_column=args.date_column,
-        value_column=args.value_column,
-    )
+    """The run's settings, each under its parser name, which is also its
+    manifest key. An option without a RunConfig field, or a field without
+    an option, raises TypeError on every run."""
+    opts = dict(vars(args))
+    opts["crash_config"] = CrashConfig(**{f.name: opts.pop(f.name)
+                                          for f in fields(CrashConfig)})
+    opts["seed_bounds"] = parse_seed_bounds(opts["seed_bounds"])
+    opts["ranges"] = PrecursorRanges(tuple(opts.pop("precursor_beta")),
+                                     tuple(opts.pop("precursor_omega")))
+    opts["scan_params"] = tuple(opts["scan_params"] or PARAMETER_INDEX)
+    return RunConfig(**opts)
 
 
 def _write_json(obj, path) -> None:
@@ -233,8 +216,7 @@ def _write_manifest(config: RunConfig) -> None:
     manifest = {
         "tool": "bubblefit",
         "version": __version__,
-        "inputs": [config.input] + ([config.overrides_path]
-                                    if config.overrides_path else []),
+        "inputs": [config.input] + ([config.overrides] if config.overrides else []),
         "config": payload,
         "config_hash": digest,
     }
@@ -284,7 +266,7 @@ def cmd_stats(config: RunConfig) -> None:
 def _detect(config: RunConfig):
     series = _load_series(config)
     events = find_crash_peaks(series, config.crash_config)
-    overrides = load_overrides(config.overrides_path) if config.overrides_path else {}
+    overrides = load_overrides(config.overrides) if config.overrides else {}
     decisions = bubble_windows_for_events(series, events, config.crash_config,
                                           overrides)
     return series, events, decisions
@@ -316,7 +298,7 @@ def _fit_windows(config: RunConfig):
         try:
             report = fit_bubble(
                 decision.window,
-                bounds=config.bounds,
+                bounds=config.seed_bounds,
                 ranges=config.ranges,
                 scale_choice=config.scale,
                 paper_mode=config.paper_mode,

@@ -12,6 +12,7 @@ arithmetic.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 from dataclasses import dataclass
@@ -174,9 +175,7 @@ def make_bubble_window(series: PriceSeries, start: dt.date, peak: dt.date,
         raise UsageError("override must lie in [trough, peak)")
     begin = override if override is not None else start
     hi = series.index_of(peak) + 1
-    lo = hi - 1
-    while lo > 0 and series.dates[lo - 1] >= begin:
-        lo -= 1
+    lo = bisect.bisect_left(series.dates, begin, 0, hi - 1)
     window_slice = series.slice_indices(lo, hi)
     if len(window_slice) < config.min_bubble_weekdays:
         raise WindowRejection(
@@ -194,7 +193,12 @@ def make_bubble_window(series: PriceSeries, start: dt.date, peak: dt.date,
 
 
 def load_overrides(path) -> dict[dt.date, dt.date]:
-    """Read a (peak_date, bubble_start_date) CSV of explicit bubble starts."""
+    """Read a (peak_date, bubble_start_date) CSV of explicit bubble starts.
+
+    Raises ConfigError when a column is missing, and DataError for a
+    duplicate peak or, naming the row, for a missing cell or an
+    unparseable date.
+    """
     overrides: dict[dt.date, dt.date] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -202,9 +206,14 @@ def load_overrides(path) -> dict[dt.date, dt.date]:
         for col in ("peak_date", "bubble_start_date"):
             if col not in header:
                 raise ConfigError(f"override file missing column {col!r}")
-        for row in reader:
-            peak = parse_date(row["peak_date"])
-            start = parse_date(row["bubble_start_date"])
+        for lineno, row in enumerate(reader, start=2):
+            cells = (row["peak_date"], row["bubble_start_date"])
+            if None in cells:
+                raise DataError(f"row {lineno}: empty field")
+            try:
+                peak, start = map(parse_date, cells)
+            except DataError as exc:
+                raise DataError(f"row {lineno}: {exc}") from exc
             if peak in overrides:
                 raise DataError(f"duplicate override for peak {peak.isoformat()}")
             overrides[peak] = start

@@ -86,8 +86,10 @@ class LpplParams:
     scale: Scale = Scale.RAW
 
     def __post_init__(self):
-        if not math.isfinite(self.a):
-            raise UsageError("a must be finite")
+        for name in ("a", "b", "c", "beta", "omega", "t2c"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise UsageError(f"{name} must be finite (got {value})")
         if self.t2c < 1.0:
             raise UsageError(f"t2c must be >= 1 day (got {self.t2c})")
         if self.beta <= 0.0:

@@ -7,6 +7,7 @@ downstream code never has to guess.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 import math
@@ -89,8 +90,6 @@ class PriceSeries:
 
     def index_of(self, d: dt.date) -> int:
         """Index of the observation on date `d` (exact match required)."""
-        import bisect
-
         i = bisect.bisect_left(self.dates, d)
         if i == len(self.dates) or self.dates[i] != d:
             raise UsageError(f"no observation on {d.isoformat()}")

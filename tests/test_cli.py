@@ -97,14 +97,19 @@ class TestGenerateCommand:
         json.dumps(dict(GEN_SPEC, noise_sigma=math.inf)),
         json.dumps(dict(GEN_SPEC, params=dict(GEN_SPEC["params"], a=100.0),
                         noise_sigma=1000.0)),
+        json.dumps(dict(GEN_SPEC, params=dict(GEN_SPEC["params"], beta=math.nan))),
+        json.dumps(dict(GEN_SPEC, params=dict(GEN_SPEC["params"], omega=math.inf))),
+        json.dumps(dict(GEN_SPEC, params=dict(GEN_SPEC["params"], c=math.inf))),
     ], ids=["bad_count", "list", "numeric_date", "not_json", "nan_noise",
-            "inf_noise", "noise_too_large"])
+            "inf_noise", "noise_too_large", "nan_beta", "inf_omega", "inf_c"])
     def test_malformed_spec_exits_1(self, text, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text)
         assert run("--input", str(spec_path), "--command", "generate",
                    "--out", str(tmp_path / "out")) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
 
 class TestStatsCommand:
@@ -182,6 +187,20 @@ class TestDetectCommand:
             "error: override peak dates match no detected crash peak: "
             "2005-06-03, 2005-07-30\n")
         assert not (out / "bubbles.json").exists()
+
+    @pytest.mark.parametrize("row", ["2005-06-30", "2005-06-30,"],
+                             ids=["missing_cell", "empty_cell"])
+    def test_bad_override_cell_names_the_row(self, row, crash_csv, tmp_path,
+                                             capsys):
+        overrides = tmp_path / "overrides.csv"
+        overrides.write_text(f"peak_date,bubble_start_date\n{row}\n")
+        assert run("--input", str(crash_csv), "--command", "detect",
+                   "--overrides", str(overrides),
+                   "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 2: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_min_bubble_rejection_is_reported(self, tmp_path):
         decline = np.linspace(400, 100, 300)
@@ -411,3 +430,50 @@ class TestManifest:
         assert manifest["config"]["min_bubble_weekdays"] == 131
         assert len(manifest["config_hash"]) == 64
         assert str(crash_csv) in manifest["inputs"]
+
+    def test_every_option_is_written_under_its_parser_name(self, crash_csv,
+                                                           tmp_path):
+        overrides = tmp_path / "overrides.csv"
+        overrides.write_text(
+            "peak_date,bubble_start_date\n2005-06-30,2004-06-01\n")
+        out = tmp_path / "out"
+        # each option's parser name: its words on the command line and the
+        # value the manifest holds for them
+        options = {
+            "input": (["--input", str(crash_csv)], str(crash_csv)),
+            "command": (["--command", "detect"], "detect"),
+            "lookback_weekdays": (["--lookback", "300"], 300),
+            "drop_to_fraction": (["--drop-to", "0.8"], 0.8),
+            "drop_window_weekdays": (["--drop-window", "30"], 30),
+            "min_bubble_weekdays": (["--min-bubble", "100"], 100),
+            "overrides": (["--overrides", str(overrides)], str(overrides)),
+            "scale": (["--scale", "log"], "log"),
+            "paper_mode": (["--paper-mode"], True),
+            "out": (["--out", str(out)], str(out)),
+            "seed_bounds": (["--seed-bounds", '{"t2c": [2, 100]}'],
+                            {"lower": [0.0, 0.0, 2.0], "upper": [2.0, 20.0, 100.0],
+                             "min_width_beta": 0.2, "min_width_omega": 2.0}),
+            "precursor_beta": (["--precursor-beta", "0.1", "0.6"], [0.1, 0.6]),
+            "precursor_omega": (["--precursor-omega", "4", "9"], [4.0, 9.0]),
+            "scan_params": (["--scan-param", "omega", "--scan-param", "beta"],
+                            ["omega", "beta"]),
+            "scan_steps": (["--scan-steps", "7"], 7),
+            "scan_halfwidth": (["--scan-halfwidth", "0.5"], 0.5),
+            "reoptimize": (["--reoptimize"], True),
+            "rng_seed": (["--rng-seed", "9"], 9),
+            "date_column": (["--date-column", "date"], "date"),
+            "value_column": (["--value-column", "value"], "value"),
+        }
+        defaults = vars(cli.build_parser().parse_args(
+            ["--input", "x", "--command", "stats"]))
+        assert sorted(defaults) == sorted(options)
+        # every value differs from its default, so each one was set
+        assert all(defaults[dest] != value
+                   for dest, (_, value) in options.items())
+        assert run(*(word for words, _ in options.values()
+                     for word in words)) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert {dest: config.get(dest) for dest in options} == {
+            dest: value for dest, (_, value) in options.items()}
+        assert json.loads((out / "bubbles.json").read_text())[0][
+            "override_applied"]

@@ -168,6 +168,9 @@ class TestMakeBubbleWindow:
                                     override=override)
         assert window.start_date == override
         assert window.override_applied
+        saturday = make_bubble_window(series, series.dates[0], peak,
+                                      override=dt.date(1978, 1, 14))
+        assert saturday.start_date == dt.date(1978, 1, 16)
 
     def test_rejects_130_of_131(self):
         series = series_from_values(np.linspace(100, 200, 130))

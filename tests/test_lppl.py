@@ -91,6 +91,14 @@ class TestLpplValue:
         with pytest.raises(UsageError):
             canonical_params(phi=7.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("a", -math.inf), ("b", math.nan), ("c", math.inf),
+        ("beta", math.nan), ("omega", math.inf), ("t2c", math.inf),
+    ])
+    def test_non_finite_param_is_named(self, name, value):
+        with pytest.raises(UsageError, match=f"^{name} must be finite"):
+            canonical_params(**{name: value})
+
 
 class TestLinearSolve:
     def test_exact_recovery(self):
