@@ -29,6 +29,7 @@ from .crashes import (
 )
 from .errors import BubblefitError, ConfigError, DataError, UsageError
 from .fitter import (
+    BETA_CEILING,
     BETA_FLOOR,
     SCALE_CHOICES,
     BubbleReport,
@@ -98,7 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-bounds", default=None, metavar="JSON",
                    help='seed-bound overrides for beta, omega and t2c, e.g. '
                         '\'{"beta": [0, 2, 0.2], "t2c": [1, 260]}\' (third '
-                        "entry = minimum width for beta/omega)")
+                        "entry = minimum width for beta/omega); the bounds "
+                        "place the seeds, and a seed whose simplex passes "
+                        f"beta {BETA_CEILING} is abandoned")
     p.add_argument("--precursor-beta", type=float, nargs=2, metavar=("LO", "HI"),
                    default=PrecursorRanges.beta_range,
                    help="beta range for precursor classification "

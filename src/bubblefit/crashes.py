@@ -172,7 +172,9 @@ def make_bubble_window(series: PriceSeries, start: dt.date, peak: dt.date,
     if start >= peak:
         raise UsageError("bubble start must precede the peak")
     if override is not None and not (start <= override < peak):
-        raise UsageError("override must lie in [trough, peak)")
+        raise UsageError(f"override start {override.isoformat()} for the peak "
+                         f"{peak.isoformat()} must lie in [trough, peak) = "
+                         f"[{start.isoformat()}, {peak.isoformat()})")
     begin = override if override is not None else start
     hi = series.index_of(peak) + 1
     lo = bisect.bisect_left(series.dates, begin, 0, hi - 1)

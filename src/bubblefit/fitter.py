@@ -2,15 +2,19 @@
 
 The phase is solved in closed form with the linear parameters (see
 `lppl`), so each simplex runs over (beta, omega, t2c) only. The search
-recursively partitions the (beta, omega) seed box: run an unbounded
-Nelder-Mead simplex from the box midpoint in (beta, omega, t2c), span a
-hypercube in (beta, omega) between the seed and its solution, then
-recurse into the space below and above that hypercube on each dimension
-while at least the minimum width remains. The boxes overlap (the box
-below on beta spans every omega and the one below on omega every beta),
-so a midpoint can come up again; a seed search is a pure function of
-the seed, so each distinct seed is searched once and a repeated box is
-cut with the stored solution. Each solution takes phi from atan2 at its
+recursively partitions the (beta, omega) seed box: run a Nelder-Mead
+simplex from the box midpoint in (beta, omega, t2c), span a hypercube in
+(beta, omega) between the seed and its solution, then recurse into the
+space below and above that hypercube on each dimension while at least
+the minimum width remains. The simplex is not bounded by the seed box,
+but a seed is abandoned, with no solution, once its simplex's best
+vertex passes BETA_CEILING: past it the fit drifts until the b-floor
+rule stops it, at a point set by that rule and not by the data. Its box
+is then cut at the point that passed the ceiling. The boxes overlap (the
+box below on beta spans every omega and the one below on omega every
+beta), so a midpoint can come up again; a seed search is a pure function
+of the seed, so each distinct seed is searched once and a repeated box
+is cut at the stored point. Each solution takes phi from atan2 at its
 point; every solution is collected, canonicalized, deduplicated, and
 ranked by RMSE.
 
@@ -29,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .crashes import BubbleWindow
-from .errors import UsageError
+from .errors import DataError, UsageError
 from .lppl import (
     TWO_PI,
     FitDiagnostics,
@@ -49,6 +53,11 @@ BOUNDARY_MARGIN = {"beta": 0.01, "omega": 0.01}
 
 # the beta floor of paper mode and of the default mode's constrained best
 BETA_FLOOR = 0.01
+
+# a seed search is abandoned once its simplex's best vertex passes this
+# beta: past it the fit drifts to the b-floor (|b| of 1e-12 of the data
+# scale), far from any fit the beta < 1 rule would keep
+BETA_CEILING = 2.0
 
 # fit_bubble's scale choices: a scale, or "auto" to choose by the window
 SCALE_CHOICES = (*(scale.value for scale in Scale), "auto")
@@ -77,7 +86,12 @@ class PrecursorRanges:
 
 @dataclass(frozen=True)
 class SearchBounds:
-    """Seed bounds for (beta, omega, t2c) and the recursion minimum widths."""
+    """Seed bounds for (beta, omega, t2c) and the recursion minimum widths.
+
+    The bounds place the seeds; a simplex may leave them. A seed whose
+    simplex passes beta BETA_CEILING is abandoned whatever the bounds, so
+    a box above the ceiling yields no fit.
+    """
 
     lower: tuple[float, float, float] = (0.0, 0.0, 1.0)
     upper: tuple[float, float, float] = (2.0, 20.0, 260.0)
@@ -422,6 +436,11 @@ def _boundary_warnings(beta: float, omega: float,
     return tuple(notes)
 
 
+class _PastCeiling(Exception):
+    """Raised by the search's objective, with the point as its argument,
+    where a seed's simplex passes BETA_CEILING; it ends that seed's search."""
+
+
 def _search_from_seed(objective, seed, x_tol, f_tol,
                       settings: SearchSettings) -> NelderMeadResult:
     """One simplex run plus restart polishing, within the per-seed budget."""
@@ -491,43 +510,64 @@ def recursive_seed_search(
     """Run the midpoint/hypercube recursion and return ranked fits.
 
     Each distinct seed is searched once: a box whose midpoint was already
-    searched is cut with that search's result and adds no second
-    solution (it would be an exact copy, which the dedup pass drops).
+    searched is cut where that search was and adds no second solution (it
+    would be an exact copy, which the dedup pass drops). A seed's search,
+    its first simplex and its restarts, is abandoned at the first point
+    with beta above BETA_CEILING and a value below every value the search
+    has seen: that seed yields no fit and its box is cut at that point.
     Results are canonicalized, deduplicated within DEDUP_TOL, and sorted
     by RMSE ascending with lexicographic (beta, omega, t2c, phi)
     tie-breaking, so identical inputs always produce identical output.
     `floor_beta` turns on the reported-fit floor used when mirroring
     fixed-exponent conventions: points with beta below BETA_FLOOR
     evaluate to +inf, and a seed below the floor starts at it.
+
+    Raises DataError, naming the seeds searched and abandoned, when the
+    search keeps no fit.
     """
     if len(window) < 10:
         raise UsageError("need at least 10 observations for a 7-parameter fit")
     base_objective = window_objective(window)
-    if floor_beta:
-        def objective(theta):
-            return math.inf if theta[0] < BETA_FLOOR else base_objective(theta)
-    else:
-        objective = base_objective
+    lowest = math.inf  # the lowest value of the running seed's search
+
+    def objective(theta):
+        nonlocal lowest
+        if floor_beta and theta[0] < BETA_FLOOR:
+            return math.inf
+        value = base_objective(theta)
+        if value < lowest:
+            if theta[0] > BETA_CEILING:
+                raise _PastCeiling(np.array(theta))
+            lowest = value
+        return value
 
     x_tol, f_tol = _fit_tolerances(window, bounds, settings)
 
-    # one outcome per distinct seed, in first-search order
+    # the point each distinct seed's box is cut at, and the outcome of each
+    # seed that was not abandoned, both in first-search order
+    cuts: dict[tuple, np.ndarray] = {}
     solutions: dict[tuple, NelderMeadResult] = {}
 
     def search(lo: np.ndarray, up: np.ndarray) -> None:
+        nonlocal lowest
         middle = (lo + up) / 2.0
         seed = middle.copy()
         if floor_beta:
             seed[0] = max(seed[0], BETA_FLOOR)
         key = tuple(seed)
-        outcome = solutions.get(key)
-        if outcome is None:
-            outcome = _search_from_seed(objective, seed, x_tol, f_tol, settings)
-            solutions[key] = outcome
+        if key not in cuts:
+            lowest = math.inf
+            try:
+                outcome = _search_from_seed(objective, seed, x_tol, f_tol, settings)
+            except _PastCeiling as past:
+                cuts[key] = past.args[0]
+            else:
+                solutions[key] = outcome
+                cuts[key] = outcome.x
         # cut at the midpoint, not at a lifted seed: each sub-box then lies
         # in one half of its box, and the recursion ends
-        bottom = np.minimum(middle[:2], outcome.x[:2])
-        top = np.maximum(middle[:2], outcome.x[:2])
+        bottom = np.minimum(middle[:2], cuts[key][:2])
+        top = np.maximum(middle[:2], cuts[key][:2])
         min_widths = (bounds.min_width_beta, bounds.min_width_omega)
         for p in (0, 1):
             if bottom[p] - lo[p] >= min_widths[p]:
@@ -569,6 +609,10 @@ def recursive_seed_search(
         )
         if not duplicate:
             kept.append(entry)
+    if not kept:
+        raise DataError(f"the search kept no fit: {len(cuts)} seeds searched, "
+                        f"{len(cuts) - len(solutions)} abandoned past beta "
+                        f"{BETA_CEILING}")
 
     return [
         _build_result(window, theta, linear, value, seed, evals, conv, ranges)
@@ -662,11 +706,12 @@ def fit_bubble(
         (f for f in fits if f.classification is Classification.PRECURSOR), None
     )
     constrained_best = None
-    if not paper_mode and fits and fits[0].params.beta < BETA_FLOOR:
-        floored = recursive_seed_search(target, bounds, ranges, settings,
-                                        floor_beta=True)
-        if floored:
-            constrained_best = floored[0]
+    if not paper_mode and fits[0].params.beta < BETA_FLOOR:
+        try:
+            constrained_best = recursive_seed_search(
+                target, bounds, ranges, settings, floor_beta=True)[0]
+        except DataError:  # the floored search kept no fit
+            pass
 
     return BubbleReport(
         window=window,

@@ -330,7 +330,7 @@ class WindowSolver:
 
         Inadmissible points (t2c < 1, beta <= 0, a degenerate basis,
         numeric overflow) evaluate to +inf rather than raising, which
-        keeps the unbounded search well defined.
+        keeps the simplex, which no seed box bounds, well defined.
         """
         if phi is not None and not math.isfinite(phi):
             return math.inf

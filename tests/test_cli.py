@@ -2,6 +2,7 @@ import csv
 import datetime as dt
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from bubblefit import (
     load_csv,
     write_csv,
 )
-from bubblefit import cli
+from bubblefit import cli, fitter
 from bubblefit.cli import main
 
 from conftest import canonical_params, crash_series, series_from_values
@@ -202,6 +203,20 @@ class TestDetectCommand:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_override_before_the_trough_names_its_dates(self, two_crash_csv,
+                                                        tmp_path, capsys):
+        # the second window's trough is 2005-08-24; the first row is valid
+        overrides = tmp_path / "overrides.csv"
+        overrides.write_text("peak_date,bubble_start_date\n"
+                             "2005-06-30,2004-06-01\n2006-11-14,2005-08-01\n")
+        assert run("--input", str(two_crash_csv), "--command", "detect",
+                   "--overrides", str(overrides),
+                   "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for date in ("2005-08-01", "2005-08-24", "2006-11-14"):
+            assert date in err
+
     def test_min_bubble_rejection_is_reported(self, tmp_path):
         decline = np.linspace(400, 100, 300)
         rise = np.linspace(102, 450, 80)
@@ -281,6 +296,26 @@ class TestFitCommand:
         for name in written:
             if name not in ("manifest.json", index_name):
                 assert (out / name).read_bytes() == (clean / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["fit", "scan"])
+    def test_a_search_that_keeps_no_fit_fails_its_window(
+            self, command, two_crash_csv, tmp_path, monkeypatch, capsys):
+        # with the ceiling at 0 every seed is abandoned at its first call
+        monkeypatch.setattr(fitter, "BETA_CEILING", 0.0)
+        out = tmp_path / "out"
+        assert run("--input", str(two_crash_csv), "--command", command,
+                   "--seed-bounds", COARSE_SEED_BOUNDS,
+                   "--scan-param", "beta", "--scan-steps", "5",
+                   "--out", str(out)) == 2
+        index = json.loads((out / f"{command}_index.json").read_text())
+        assert [e["peak_date"] for e in index] == ["2005-06-30", "2006-11-14"]
+        for entry in index:
+            assert entry["fit"] is None
+            assert re.fullmatch(r"DataError: the search kept no fit: (\d+) seeds "
+                                r"searched, \1 abandoned past beta 0\.0",
+                                entry["fit_error"])
+        assert (out / "manifest.json").exists()
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestScanCommand:

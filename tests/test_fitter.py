@@ -1,4 +1,5 @@
 import datetime as dt
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from bubblefit import (
     BubbleWindow,
     Classification,
+    DataError,
     GeneratorSpec,
     LpplParams,
     PrecursorRanges,
@@ -286,6 +288,19 @@ class TestClassify:
         assert _boundary_warnings(0.33, 6.36, PrecursorRanges()) == ()
 
 
+def recording_seeds(monkeypatch) -> list:
+    """Record the seed of every seed search, in order."""
+    seeds = []
+    search_from_seed = fitter._search_from_seed
+
+    def recording(objective, seed, *args):
+        seeds.append(tuple(seed.tolist()))
+        return search_from_seed(objective, seed, *args)
+
+    monkeypatch.setattr(fitter, "_search_from_seed", recording)
+    return seeds
+
+
 class TestRecursiveSeedSearch:
     def test_bounds_are_beta_omega_t2c_triples(self):
         # the phase is solved, not searched: a phi bound is an error
@@ -384,15 +399,8 @@ class TestRecursiveSeedSearch:
 
     def test_each_seed_is_searched_once(self, small_window, monkeypatch):
         # this window's partition comes back to several boxes it has
-        # already searched (25 box visits, 15 distinct midpoints)
-        searched = []
-        search_from_seed = fitter._search_from_seed
-
-        def recording(objective, seed, *args):
-            searched.append(tuple(seed.tolist()))
-            return search_from_seed(objective, seed, *args)
-
-        monkeypatch.setattr(fitter, "_search_from_seed", recording)
+        # already searched (19 box visits, 15 distinct midpoints)
+        searched = recording_seeds(monkeypatch)
         fits = recursive_seed_search(small_window, bounds=LIGHT_BOUNDS,
                                      settings=LIGHT)
         assert len(searched) == len(set(searched))
@@ -424,6 +432,29 @@ CHAIN = (
 COARSE_BOUNDS = SearchBounds(min_width_beta=0.5, min_width_omega=5.0)
 
 
+def chain_window(k: int) -> BubbleWindow:
+    scale, fields, n, sigma = CHAIN[k]
+    params = LpplParams(**fields, anchor_date=ANCHOR, scale=Scale(scale))
+    # the benchmark's generator seed for bubble k of its seed 201
+    rng_seed = int(np.random.SeedSequence([201, k]).generate_state(1)[0])
+    return window_of(generate(GeneratorSpec(params, n, sigma, rng_seed)))
+
+
+@functools.cache
+def chain_fits(k: int) -> list:
+    return recursive_seed_search(chain_window(k), COARSE_BOUNDS)
+
+
+def noisy_window(rng_seed: int) -> BubbleWindow:
+    return window_of(generate(GeneratorSpec(
+        NOISY_PARAMS, 400, 0.01 * NOISY_PARAMS.a, rng_seed)))
+
+
+@functools.cache
+def noisy_fits(rng_seed: int) -> list:
+    return recursive_seed_search(noisy_window(rng_seed), settings=NOISY_SETTINGS)
+
+
 def assert_search_reaches_oracle(window, best, bounds, settings):
     """The recursion's best RMSE against a dense grid plus simplex polish,
     within the simplex's own stopping tolerance f_tol_rel * std(window)."""
@@ -442,22 +473,127 @@ class TestSearchOracle:
 
     @pytest.mark.parametrize("rng_seed", [100, 101])
     def test_noisy_window(self, rng_seed):
-        window = window_of(generate(GeneratorSpec(
-            NOISY_PARAMS, 400, 0.01 * NOISY_PARAMS.a, rng_seed)))
-        best = recursive_seed_search(window, settings=NOISY_SETTINGS)[0]
-        assert_search_reaches_oracle(window, best.diagnostics.rmse,
+        best = noisy_fits(rng_seed)[0]
+        assert_search_reaches_oracle(noisy_window(rng_seed), best.diagnostics.rmse,
                                      SearchBounds(), NOISY_SETTINGS)
 
     @pytest.mark.parametrize("k", range(len(CHAIN)))
     def test_chain_bubble(self, k):
-        scale, fields, n, sigma = CHAIN[k]
-        params = LpplParams(**fields, anchor_date=ANCHOR, scale=Scale(scale))
-        # the benchmark's generator seed for bubble k of its seed 201
-        rng_seed = int(np.random.SeedSequence([201, k]).generate_state(1)[0])
-        window = window_of(generate(GeneratorSpec(params, n, sigma, rng_seed)))
-        best = recursive_seed_search(window, COARSE_BOUNDS)[0]
-        assert_search_reaches_oracle(window, best.diagnostics.rmse,
+        best = chain_fits(k)[0]
+        assert_search_reaches_oracle(chain_window(k), best.diagnostics.rmse,
                                      COARSE_BOUNDS, SearchSettings())
+
+
+# the kept fits with beta < 1 of each chain bubble, (beta, omega, t2c, RMSE)
+# by RMSE, as found before seeds were abandoned past BETA_CEILING
+CHAIN_FITS_BELOW_ONE = (
+    ((0.3297437660045851, 6.356816442102744, 29.97721881088423, 0.09712559495823249),
+     (5.122577174732392e-06, 17.90611600102677, 132.87295791227245, 10.496928052150295)),
+    ((0.32996802842575185, 6.363360087281849, 30.034518976024124, 0.0005024878844937864),
+     (1.9121387301306705e-06, 8.72626632802333, 89.93343467562906, 0.013280344700358491),
+     (2.0397862739351007e-06, 16.367828728034734, 68.46759194944175, 0.03990925229965737),
+     (3.652441708143656e-06, 19.60528071963042, 68.1115077494689, 0.040212648185191685),
+     (6.0042344831674236e-06, 19.6040605963099, 68.10807268218838, 0.040212656126914735)),
+    ((0.3291712646844477, 6.355594990127301, 30.03007356074735, 0.979190079562835),
+     (1.9749777367995477e-06, 11.991708967295164, 127.58265654218354, 24.842049613479244),
+     (3.3541638395197045e-06, 11.991967723352685, 127.56307492891898, 24.842050227853942),
+     (3.3962020990377877e-06, 14.945223479986879, 129.3080900844107, 25.421058495567262),
+     (1.9777342915586493e-06, 20.233381222430708, 129.6811111023992, 25.64646791824442),
+     (2.61041457088367e-06, 20.23729956973259, 129.75071092533125, 25.64646927899778),
+     (1.464106285380529e-06, 22.73090159775498, 129.38393140841163, 25.678429939039695),
+     (2.2892166636193594e-06, 22.72659269623919, 129.41437095228528, 25.678431373108058),
+     (1.1989935118698717e-06, 22.718490305127528, 129.16020178543977, 25.6784453233399)),
+)
+
+
+def counting_objective_calls(monkeypatch) -> list:
+    """Record the point of every objective call the search makes."""
+    calls = []
+    objective_of = fitter.window_objective
+
+    def counting(window):
+        objective = objective_of(window)
+
+        def counted(theta):
+            calls.append(theta)
+            return objective(theta)
+        return counted
+
+    monkeypatch.setattr(fitter, "window_objective", counting)
+    return calls
+
+
+def bowl_objective(monkeypatch, beta: float) -> None:
+    """Make the search's objective a bowl with its minimum at (beta, 10,
+    130.5), in place of the window's RMSE."""
+    def bowl(theta):
+        return ((theta[0] - beta) ** 2 + ((theta[1] - 10.0) / 10.0) ** 2
+                + ((theta[2] - 130.5) / 100.0) ** 2)
+
+    monkeypatch.setattr(fitter, "window_objective", lambda window: bowl)
+
+
+class TestBetaCeiling:
+    @pytest.mark.parametrize("fits", [
+        *(functools.partial(chain_fits, k) for k in range(len(CHAIN))),
+        functools.partial(noisy_fits, 100),
+    ], ids=["chain_0", "chain_1", "chain_2", "noisy_100"])
+    def test_no_fit_passes_the_ceiling(self, fits):
+        assert all(f.params.beta <= fitter.BETA_CEILING for f in fits())
+
+    def test_chain_bubble_costs_fewer_calls(self, monkeypatch):
+        calls = counting_objective_calls(monkeypatch)
+        recursive_seed_search(chain_window(0), COARSE_BOUNDS)
+        # 9,703 calls while every seed was searched to its end (4,894 since)
+        assert len(calls) <= 0.8 * 9703
+
+    def test_a_probe_past_the_ceiling_keeps_the_seed(self, small_window,
+                                                      monkeypatch):
+        # a bowl at beta 1.9: the simplex tries points past beta 2, but its
+        # best vertex never passes it
+        bowl_objective(monkeypatch, 1.9)
+        calls = counting_objective_calls(monkeypatch)
+        bounds = SearchBounds(min_width_beta=2.0, min_width_omega=20.0)
+        fits = recursive_seed_search(small_window, bounds=bounds, settings=LIGHT)
+        assert any(theta[0] > fitter.BETA_CEILING for theta in calls)
+        assert [f.seed_used for f in fits] == [(1.0, 10.0, 130.5)]
+        assert fits[0].params.beta == pytest.approx(1.9, abs=1e-3)
+
+    def test_an_abandoned_box_is_cut_past_the_ceiling(self, small_window,
+                                                       monkeypatch):
+        # a bowl at beta 3: every seed is abandoned at a point past beta 2,
+        # so no box above a seed on beta is searched, and no seed twice
+        bowl_objective(monkeypatch, 3.0)
+        seeds = recording_seeds(monkeypatch)
+        with pytest.raises(DataError):
+            recursive_seed_search(small_window, bounds=COARSE_BOUNDS,
+                                  settings=LIGHT)
+        assert len(seeds) > 1
+        assert len(seeds) == len(set(seeds))
+        assert max(seed[0] for seed in seeds) == 1.0
+
+    def test_seed_box_above_the_ceiling_fails_after_one_call_a_seed(
+            self, small_window, monkeypatch):
+        calls = counting_objective_calls(monkeypatch)
+        seeds = recording_seeds(monkeypatch)
+        bounds = SearchBounds((2.5, 0.0, 1.0), (4.0, 20.0, 260.0),
+                              min_width_beta=0.5, min_width_omega=5.0)
+        with pytest.raises(DataError) as failure:
+            recursive_seed_search(small_window, bounds=bounds, settings=LIGHT)
+        assert len(seeds) > 1
+        assert calls == [list(seed) for seed in seeds]
+        assert str(failure.value) == (
+            f"the search kept no fit: {len(seeds)} seeds searched, "
+            f"{len(seeds)} abandoned past beta 2.0")
+
+    @pytest.mark.parametrize("k", range(len(CHAIN)))
+    def test_fits_below_beta_one_are_kept(self, k):
+        found = sorted(((*f.params.theta()[:3], f.diagnostics.rmse)
+                        for f in chain_fits(k) if f.params.beta < 1.0),
+                       key=lambda fit: fit[3])
+        assert len(found) == len(CHAIN_FITS_BELOW_ONE[k])
+        for fit, pinned in zip(found, CHAIN_FITS_BELOW_ONE[k]):
+            assert fit == pytest.approx(pinned, rel=1e-9)
 
 
 @pytest.fixture(scope="module")
