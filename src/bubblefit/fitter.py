@@ -9,8 +9,11 @@ space below and above that hypercube on each dimension while at least
 the minimum width remains. The simplex is not bounded by the seed box,
 but a seed is abandoned, with no solution, once its simplex's best
 vertex passes BETA_CEILING: past it the fit drifts until the b-floor
-rule stops it, at a point set by that rule and not by the data. Its box
-is then cut at the point that passed the ceiling. The boxes overlap (the
+rule stops it, at a point set by that rule and not by the data. A seed
+is also stopped, with no solution, once its best vertex comes within
+DEDUP_TOL of a solution an earlier seed kept in (beta, |omega|, t2c):
+it would end on a fit the dedup pass drops. Either way its box is then
+cut at that point. The boxes overlap (the
 box below on beta spans every omega and the one below on omega every
 beta), so a midpoint can come up again; a seed search is a pure function
 of the seed, so each distinct seed is searched once and a repeated box
@@ -129,6 +132,22 @@ class SearchSettings:
     max_evals: int = 20000
     restarts: int = 2
     stall_evals: int | None = 800
+
+    def __post_init__(self):
+        # a NaN or negative tolerance never converges, so every run would
+        # end at the stall limit and every restart would run
+        for name in ("x_tol_rel", "f_tol_rel"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise UsageError(f"{name} must be finite and non-negative "
+                                 f"(got {value!r})")
+        for name, least in (("max_evals", 1), ("restarts", 0), ("stall_evals", 1)):
+            value = getattr(self, name)
+            if name == "stall_evals" and value is None:
+                continue
+            if not (isinstance(value, int) and value >= least):
+                raise UsageError(f"{name} must be an integer >= {least} "
+                                 f"(got {value!r})")
 
 
 @dataclass(frozen=True)
@@ -436,9 +455,10 @@ def _boundary_warnings(beta: float, omega: float,
     return tuple(notes)
 
 
-class _PastCeiling(Exception):
-    """Raised by the search's objective, with the point as its argument,
-    where a seed's simplex passes BETA_CEILING; it ends that seed's search."""
+class _SeedStopped(Exception):
+    """Raised by the search's objective, with the point and whether it is
+    past BETA_CEILING as its arguments, where a seed's search stops
+    without a fit."""
 
 
 def _search_from_seed(objective, seed, x_tol, f_tol,
@@ -512,9 +532,12 @@ def recursive_seed_search(
     Each distinct seed is searched once: a box whose midpoint was already
     searched is cut where that search was and adds no second solution (it
     would be an exact copy, which the dedup pass drops). A seed's search,
-    its first simplex and its restarts, is abandoned at the first point
-    with beta above BETA_CEILING and a value below every value the search
-    has seen: that seed yields no fit and its box is cut at that point.
+    its first simplex and its restarts, stops at the first point whose
+    value is below every value that search has seen and that either has
+    beta above BETA_CEILING or lies within DEDUP_TOL of a solution an
+    earlier seed kept, compared in (beta, |omega|, t2c) (phi is solved at
+    each point, and the phase-solved value is even in omega): that seed
+    yields no fit and its box is cut at that point.
     Results are canonicalized, deduplicated within DEDUP_TOL, and sorted
     by RMSE ascending with lexicographic (beta, omega, t2c, phi)
     tie-breaking, so identical inputs always produce identical output.
@@ -522,13 +545,16 @@ def recursive_seed_search(
     fixed-exponent conventions: points with beta below BETA_FLOOR
     evaluate to +inf, and a seed below the floor starts at it.
 
-    Raises DataError, naming the seeds searched and abandoned, when the
-    search keeps no fit.
+    Raises DataError, naming the seeds searched and those abandoned past
+    BETA_CEILING, when the search keeps no fit.
     """
     if len(window) < 10:
         raise UsageError("need at least 10 observations for a 7-parameter fit")
     base_objective = window_objective(window)
     lowest = math.inf  # the lowest value of the running seed's search
+    # (beta, |omega|, t2c) of each solution kept so far
+    found: list[tuple[float, float, float]] = []
+    beta_tol, omega_tol, t2c_tol = DEDUP_TOL[:3]
 
     def objective(theta):
         nonlocal lowest
@@ -536,20 +562,27 @@ def recursive_seed_search(
             return math.inf
         value = base_objective(theta)
         if value < lowest:
-            if theta[0] > BETA_CEILING:
-                raise _PastCeiling(np.array(theta))
+            beta, omega, t2c = theta
+            if beta > BETA_CEILING:
+                raise _SeedStopped(np.array(theta), True)
+            omega = abs(omega)
+            for b, w, t in found:
+                if (abs(beta - b) < beta_tol and abs(omega - w) < omega_tol
+                        and abs(t2c - t) < t2c_tol):
+                    raise _SeedStopped(np.array(theta), False)
             lowest = value
         return value
 
     x_tol, f_tol = _fit_tolerances(window, bounds, settings)
 
     # the point each distinct seed's box is cut at, and the outcome of each
-    # seed that was not abandoned, both in first-search order
+    # seed that was not stopped, both in first-search order
     cuts: dict[tuple, np.ndarray] = {}
     solutions: dict[tuple, NelderMeadResult] = {}
+    past_ceiling = 0  # the seeds stopped past BETA_CEILING
 
     def search(lo: np.ndarray, up: np.ndarray) -> None:
-        nonlocal lowest
+        nonlocal lowest, past_ceiling
         middle = (lo + up) / 2.0
         seed = middle.copy()
         if floor_beta:
@@ -559,11 +592,14 @@ def recursive_seed_search(
             lowest = math.inf
             try:
                 outcome = _search_from_seed(objective, seed, x_tol, f_tol, settings)
-            except _PastCeiling as past:
-                cuts[key] = past.args[0]
+            except _SeedStopped as stop:
+                cuts[key], past = stop.args
+                past_ceiling += past
             else:
                 solutions[key] = outcome
                 cuts[key] = outcome.x
+                beta, omega, t2c = outcome.x.tolist()
+                found.append((beta, abs(omega), t2c))
         # cut at the midpoint, not at a lifted seed: each sub-box then lies
         # in one half of its box, and the recursion ends
         bottom = np.minimum(middle[:2], cuts[key][:2])
@@ -611,8 +647,7 @@ def recursive_seed_search(
             kept.append(entry)
     if not kept:
         raise DataError(f"the search kept no fit: {len(cuts)} seeds searched, "
-                        f"{len(cuts) - len(solutions)} abandoned past beta "
-                        f"{BETA_CEILING}")
+                        f"{past_ceiling} abandoned past beta {BETA_CEILING}")
 
     return [
         _build_result(window, theta, linear, value, seed, evals, conv, ranges)

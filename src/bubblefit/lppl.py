@@ -128,14 +128,13 @@ class FitDiagnostics:
     violation_dates: tuple[dt.date, ...]
 
 
-def _days_to_critical(params: LpplParams, t: dt.date) -> float:
-    return params.t2c + (params.anchor_date - t).days
-
-
 def lppl_curve(params: LpplParams, dates) -> np.ndarray:
     """Model values over a date sequence; every date must precede the
     critical time."""
-    gaps = np.array([_days_to_critical(params, d) for d in dates], dtype=float)
+    days = np.fromiter(map(dt.date.toordinal, dates), np.int64, len(dates))
+    # a whole day count is exact in float64, so each gap has the bits of
+    # t2c + (anchor_date - date).days
+    gaps = params.t2c + (params.anchor_date.toordinal() - days).astype(float)
     if len(gaps) and gaps.min() <= 0.0:
         bad = dates[int(np.argmin(gaps))]
         raise ValueError(f"{bad.isoformat()} is not before the critical time")

@@ -315,6 +315,17 @@ class TestRecursiveSeedSearch:
         with pytest.raises(UsageError, match="midpoint"):
             SearchBounds(lower, upper)
 
+    @pytest.mark.parametrize("field, value", [
+        ("x_tol_rel", -1e-6),
+        ("f_tol_rel", math.nan),
+        ("max_evals", 0),
+        ("restarts", -1),
+        ("stall_evals", 0),
+    ])
+    def test_settings_that_break_the_search_are_rejected(self, field, value):
+        with pytest.raises(UsageError, match=f"^{field} "):
+            SearchSettings(**{field: value})
+
     def test_full_width_minimums_explore_single_seed(self, noise_free_window):
         bounds = SearchBounds(min_width_beta=2.0, min_width_omega=20.0)
         fits = recursive_seed_search(noise_free_window, bounds=bounds,
@@ -523,14 +534,56 @@ def counting_objective_calls(monkeypatch) -> list:
     return calls
 
 
-def bowl_objective(monkeypatch, beta: float) -> None:
-    """Make the search's objective a bowl with its minimum at (beta, 10,
-    130.5), in place of the window's RMSE."""
-    def bowl(theta):
-        return ((theta[0] - beta) ** 2 + ((theta[1] - 10.0) / 10.0) ** 2
-                + ((theta[2] - 130.5) / 100.0) ** 2)
+def bowl(minimum):
+    """A bowl with its minimum at `minimum`, a (beta, omega, t2c) point."""
+    def objective(theta):
+        return ((theta[0] - minimum[0]) ** 2 + ((theta[1] - minimum[1]) / 10.0) ** 2
+                + ((theta[2] - minimum[2]) / 100.0) ** 2)
+    return objective
 
-    monkeypatch.setattr(fitter, "window_objective", lambda window: bowl)
+
+def bowl_objective(monkeypatch, beta: float, moved=None, seeds=()) -> None:
+    """Make the search's objective a bowl with its minimum at (beta, 10,
+    130.5), in place of the window's RMSE; once `seeds` records a second
+    seed, the minimum moves to `moved`."""
+    first = bowl((beta, 10.0, 130.5))
+    later = bowl(moved) if moved is not None else first
+
+    def objective(theta):
+        return (first if len(seeds) < 2 else later)(theta)
+
+    monkeypatch.setattr(fitter, "window_objective", lambda window: objective)
+
+
+def calls_by_seed(calls: list, seeds: list) -> list:
+    """Split the recorded objective calls into those of each seed search;
+    a search's first call is its seed."""
+    starts, i = [], 0
+    for seed in seeds:
+        while tuple(calls[i]) != seed:
+            i += 1
+        starts.append(i)
+    return [calls[a:b] for a, b in zip(starts, [*starts[1:], len(calls)])]
+
+
+def near_fit(theta, fit) -> bool:
+    """Whether `theta` lies within DEDUP_TOL of the fit in (beta, |omega|, t2c)."""
+    point = (theta[0], abs(theta[1]), theta[2])
+    return all(abs(x - y) < tol for x, y, tol in
+               zip(point, fit.params.theta(), fitter.DEDUP_TOL))
+
+
+def assert_stopped_at_first_low_near(calls: list, objective, fit) -> None:
+    """The calls end at the first new lowest value that lies near the fit."""
+    lowest = math.inf
+    for i, theta in enumerate(calls):
+        value = objective(theta)
+        if value < lowest:
+            lowest = value
+            if near_fit(theta, fit):
+                assert i == len(calls) - 1
+                return
+    pytest.fail("the search never reached the fit")
 
 
 class TestBetaCeiling:
@@ -544,8 +597,10 @@ class TestBetaCeiling:
     def test_chain_bubble_costs_fewer_calls(self, monkeypatch):
         calls = counting_objective_calls(monkeypatch)
         recursive_seed_search(chain_window(0), COARSE_BOUNDS)
-        # 9,703 calls while every seed was searched to its end (4,894 since)
+        # 9,703 calls while every seed was searched to its end, 4,894 while
+        # a seed that reached a kept fit still ran to its end (3,695 since)
         assert len(calls) <= 0.8 * 9703
+        assert len(calls) <= 0.85 * 4894
 
     def test_a_probe_past_the_ceiling_keeps_the_seed(self, small_window,
                                                       monkeypatch):
@@ -588,12 +643,84 @@ class TestBetaCeiling:
 
     @pytest.mark.parametrize("k", range(len(CHAIN)))
     def test_fits_below_beta_one_are_kept(self, k):
-        found = sorted(((*f.params.theta()[:3], f.diagnostics.rmse)
-                        for f in chain_fits(k) if f.params.beta < 1.0),
-                       key=lambda fit: fit[3])
-        assert len(found) == len(CHAIN_FITS_BELOW_ONE[k])
-        for fit, pinned in zip(found, CHAIN_FITS_BELOW_ONE[k]):
-            assert fit == pytest.approx(pinned, rel=1e-9)
+        # each pinned fit with BETA_FLOOR <= beta < 1 is still found: a kept
+        # fit lies within DEDUP_TOL of it, no worse by more than f_tol
+        window = chain_window(k)
+        _, f_tol = _fit_tolerances(window, COARSE_BOUNDS, SearchSettings())
+        pinned = [fit for fit in CHAIN_FITS_BELOW_ONE[k]
+                  if fitter.BETA_FLOOR <= fit[0] < 1.0]
+        assert pinned
+        for *theta, value in pinned:
+            assert any(near_fit(theta, fit) and fit.diagnostics.rmse <= value + f_tol
+                       for fit in chain_fits(k))
+
+
+# seeds on a line in beta: the omega minimum width spans the seed box
+BETA_LINE = SearchBounds((0.0, 0.0, 1.0), (1.0, 20.0, 260.0),
+                         min_width_beta=0.1, min_width_omega=20.0)
+
+
+class TestStopAtAKeptFit:
+    def test_a_later_seed_stops_at_the_kept_fit(self, small_window,
+                                                monkeypatch):
+        # one minimum, at beta 0.7: the first seed keeps it, and every later
+        # seed stops at its first new low near it, adding no fit; its box is
+        # cut there, so no seed between a stopped seed and its stop point
+        # on beta is searched
+        bowl_objective(monkeypatch, 0.7)
+        calls = counting_objective_calls(monkeypatch)
+        seeds = recording_seeds(monkeypatch)
+        [fit] = recursive_seed_search(small_window, bounds=BETA_LINE,
+                                      settings=LIGHT)
+        assert fit.seed_used == seeds[0] == (0.5, 10.0, 130.5)
+        assert len(seeds) > 2
+        runs = calls_by_seed(calls, seeds)
+        for i, run in enumerate(runs[1:], start=1):
+            assert_stopped_at_first_low_near(run, bowl((0.7, 10.0, 130.5)), fit)
+            low, high = sorted((seeds[i][0], run[-1][0]))
+            assert not any(low < seed[0] < high for seed in seeds[i + 1:])
+
+    def test_fits_apart_in_t2c_both_stay(self, small_window, monkeypatch):
+        # from the second seed on, the minimum is 0.6 days later in t2c
+        seeds = recording_seeds(monkeypatch)
+        bowl_objective(monkeypatch, 0.7, moved=(0.7, 10.0, 131.1), seeds=seeds)
+        fits = recursive_seed_search(small_window, bounds=BETA_LINE,
+                                     settings=LIGHT)
+        assert sorted(f.seed_used for f in fits) == sorted(seeds[:2])
+        first, second = sorted((f.params.theta() for f in fits),
+                               key=lambda theta: theta[2])
+        assert abs(first[0] - second[0]) < fitter.DEDUP_TOL[0]
+        assert abs(first[1] - second[1]) < fitter.DEDUP_TOL[1]
+        assert second[2] - first[2] > fitter.DEDUP_TOL[2]
+
+    def test_a_negative_omega_stops_at_its_mirror(self, small_window,
+                                                   monkeypatch):
+        # from the second seed on, the minimum is at omega -10, the mirror
+        # of the first seed's fit
+        seeds = recording_seeds(monkeypatch)
+        moved = (0.7, -10.0, 130.5)
+        bowl_objective(monkeypatch, 0.7, moved=moved, seeds=seeds)
+        calls = counting_objective_calls(monkeypatch)
+        [fit] = recursive_seed_search(small_window, bounds=BETA_LINE,
+                                      settings=LIGHT)
+        assert fit.seed_used == seeds[0]
+        stopped = calls_by_seed(calls, seeds)[1]
+        assert_stopped_at_first_low_near(stopped, bowl(moved), fit)
+        assert stopped[-1][1] < 0.0
+
+    def test_stopped_seeds_are_not_counted_as_abandoned(self, small_window,
+                                                        monkeypatch):
+        # the kept fit fails its canonical re-solve, so the search keeps no
+        # fit; the later seeds stopped at it are not past BETA_CEILING
+        bowl_objective(monkeypatch, 0.7)
+        seeds = recording_seeds(monkeypatch)
+        monkeypatch.setattr(fitter.WindowSolver, "solve", lambda self, *theta: None)
+        with pytest.raises(DataError) as failure:
+            recursive_seed_search(small_window, bounds=BETA_LINE, settings=LIGHT)
+        assert len(seeds) > 2
+        assert str(failure.value) == (
+            f"the search kept no fit: {len(seeds)} seeds searched, "
+            f"0 abandoned past beta 2.0")
 
 
 @pytest.fixture(scope="module")
