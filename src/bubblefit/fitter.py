@@ -3,23 +3,28 @@
 The phase is solved in closed form with the linear parameters (see
 `lppl`), so each simplex runs over (beta, omega, t2c) only. The search
 recursively partitions the (beta, omega) seed box: run a Nelder-Mead
-simplex from the box midpoint in (beta, omega, t2c), span a hypercube in
-(beta, omega) between the seed and its solution, then recurse into the
-space below and above that hypercube on each dimension while at least
-the minimum width remains. The simplex is not bounded by the seed box,
-but a seed is abandoned, with no solution, once its simplex's best
-vertex passes BETA_CEILING: past it the fit drifts until the b-floor
-rule stops it, at a point set by that rule and not by the data. A seed
-is also stopped, with no solution, once its best vertex comes within
+simplex from the box midpoint in (beta, omega, t2c), polish its best
+point with damped Gauss-Newton (Levenberg-Marquardt) steps on the
+variable-projection system of `lppl.WindowSolver.gauss_newton`, span a
+hypercube in (beta, omega) between the seed and its solution, then
+recurse into the space below and above that hypercube on each dimension
+while at least the minimum width remains. The simplex is not bounded by
+the seed box, but a seed is abandoned, with no solution, once its best
+point passes BETA_CEILING: past it the fit drifts until the b-floor rule
+stops it, at a point set by that rule and not by the data. A seed is
+also stopped, with no solution, once its best point comes within
 DEDUP_TOL of a solution an earlier seed kept in (beta, |omega|, t2c):
-it would end on a fit the dedup pass drops. Either way its box is then
-cut at that point. The boxes overlap (the
-box below on beta spans every omega and the one below on omega every
-beta), so a midpoint can come up again; a seed search is a pure function
-of the seed, so each distinct seed is searched once and a repeated box
-is cut at the stored point. Each solution takes phi from atan2 at its
-point; every solution is collected, canonicalized, deduplicated, and
-ranked by RMSE.
+it would end on the same fit. Either way its box is then cut at that
+point. Every point the simplex and the polish try goes through one
+objective, which applies both rules. The boxes overlap (the box below on
+beta spans every omega and the one below on omega every beta), so a
+midpoint can come up again; a seed search is a pure function of the
+seed, so each distinct seed is searched once and a repeated box is cut
+at the stored point. Each solution takes phi from atan2 at its point;
+every solution is canonicalized and ranked by RMSE. No two solutions lie
+within DEDUP_TOL of each other: a seed's solution was a new lowest value
+of its search when it was tried, and was then compared with every
+earlier solution.
 
 Canonical form: omega >= 0 and phi in [0, pi). A negative omega maps
 through cos(-w*x + p) = cos(w*x - p), and a phase in [pi, 2*pi) drops by
@@ -42,14 +47,15 @@ from .lppl import (
     FitDiagnostics,
     LpplParams,
     WindowSolver,
+    _ldlt,
     monotonicity_check,
     raw_index_validity,
     window_objective,
 )
 from .series import Scale, to_json_data
 
-# solutions closer than this in (beta, omega, t2c, phi) are one fit
-DEDUP_TOL = (1e-3, 1e-3, 0.5, 1e-3)
+# solutions closer than this in (beta, |omega|, t2c) are one fit
+DEDUP_TOL = (1e-3, 1e-3, 0.5)
 
 # a fit this close to a classification bound is flagged, not reclassified
 BOUNDARY_MARGIN = {"beta": 0.01, "omega": 0.01}
@@ -61,6 +67,12 @@ BETA_FLOOR = 0.01
 # beta: past it the fit drifts to the b-floor (|b| of 1e-12 of the data
 # scale), far from any fit the beta < 1 rule would keep
 BETA_CEILING = 2.0
+
+# the Levenberg-Marquardt damping of `_polish`: its start, its factor per
+# taken or refused step, and the value past which no damped step is tried
+_DAMPING_START = 1e-3
+_DAMPING_FACTOR = 10.0
+_DAMPING_MAX = 1e10
 
 # fit_bubble's scale choices: a scale, or "auto" to choose by the window
 SCALE_CHOICES = (*(scale.value for scale in Scale), "auto")
@@ -123,9 +135,13 @@ class SearchBounds:
 
 @dataclass(frozen=True)
 class SearchSettings:
-    """Simplex tolerances; x_tol_rel is scaled by each seed-bound width and
+    """Search tolerances; x_tol_rel is scaled by each seed-bound width and
     f_tol_rel by the window's value spread. `stall_evals` abandons a seed
-    whose best value stops improving for that many evaluations."""
+    whose best value stops improving for that many evaluations.
+    `restarts` is the number of Gauss-Newton polishing passes from the
+    best point of a seed's simplex; polishing ends after a pass that gains
+    no more than the scaled f_tol, and 0 runs none. A system build counts
+    against `max_evals` as one evaluation."""
 
     x_tol_rel: float = 1e-6
     f_tol_rel: float = 1e-8
@@ -134,8 +150,8 @@ class SearchSettings:
     stall_evals: int | None = 800
 
     def __post_init__(self):
-        # a NaN or negative tolerance never converges, so every run would
-        # end at the stall limit and every restart would run
+        # a NaN or negative tolerance never converges, so every simplex
+        # would end at the stall limit and every polishing pass would run
         for name in ("x_tol_rel", "f_tol_rel"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
@@ -461,9 +477,11 @@ class _SeedStopped(Exception):
     without a fit."""
 
 
-def _search_from_seed(objective, seed, x_tol, f_tol,
-                      settings: SearchSettings) -> NelderMeadResult:
-    """One simplex run plus restart polishing, within the per-seed budget."""
+def _search_from_seed(objective, seed, x_tol, f_tol, settings: SearchSettings,
+                      system, floor_beta: bool) -> NelderMeadResult:
+    """One simplex run plus up to `settings.restarts` Gauss-Newton
+    polishing passes from its best point, within the per-seed budget; a
+    pass that gains no more than f_tol ends the polishing."""
     best = nelder_mead(objective, seed, x_tol=x_tol, f_tol=f_tol,
                        max_evals=settings.max_evals,
                        stall_evals=settings.stall_evals)
@@ -472,16 +490,88 @@ def _search_from_seed(objective, seed, x_tol, f_tol,
         remaining = settings.max_evals - total
         if remaining <= 0:
             break
-        rerun = nelder_mead(objective, best.x, x_tol=x_tol, f_tol=f_tol,
-                            max_evals=remaining,
-                            stall_evals=settings.stall_evals)
-        total += rerun.evaluations
-        improvement = best.value - rerun.value
-        if rerun.value < best.value:
-            best = rerun
+        polished = _polish(objective, system, best, x_tol, f_tol, remaining,
+                           floor_beta)
+        total += polished.evaluations
+        improvement = best.value - polished.value
+        best = polished
         if improvement <= f_tol:
             break
     return best._replace(evaluations=total)
+
+
+def _polish(objective, system, start: NelderMeadResult, x_tol, f_tol,
+            budget: int, floor_beta: bool) -> NelderMeadResult:
+    """Levenberg-Marquardt from `start`: damped Gauss-Newton steps on the
+    system that `system(beta, omega, t2c)` builds, (J^T J, J^T e) or None.
+
+    Each step solves (J^T J + damping diag(J^T J)) step = -J^T e, and is
+    taken only if the objective is lower there; the damping falls by
+    _DAMPING_FACTOR after a taken step and rises by it after a refused one.
+    The run stops, converged, at a taken step within `x_tol` on every
+    coordinate that gains no more than `f_tol`, as the simplex does; it
+    also stops where no damped step lowers the value (a refused step
+    within `x_tol`, or the damping past _DAMPING_MAX) and where `system`
+    gives None. Every trial point goes through `objective`; a system build
+    counts as one evaluation as well. With `floor_beta`, a step that would
+    take beta below BETA_FLOOR holds beta at the floor and steps in (omega,
+    t2c) alone.
+    """
+    x, value, converged = start.x.tolist(), start.value, start.converged
+    x_tol = x_tol.tolist()
+    damping, evals, built = _DAMPING_START, 0, None
+    while evals < budget:
+        if built is None:
+            built = system(*x)
+            evals += 1
+            if built is None:
+                break
+            jtj, jte = built
+        step = _damped_step(jtj, jte, damping, x[0], floor_beta)
+        if step is not None:
+            trial = [v + d for v, d in zip(x, step)]
+            if floor_beta and trial[0] < BETA_FLOOR:  # x + (floor - x) rounded
+                trial[0] = BETA_FLOOR
+            f = objective(trial)
+            evals += 1
+            small = all(abs(d) <= tol for d, tol in zip(step, x_tol))
+            if f < value:
+                gain, x, value, built = value - f, trial, f, None
+                damping /= _DAMPING_FACTOR
+                if small and gain <= f_tol:
+                    converged = True
+                    break
+                continue
+            if small:
+                break
+        damping *= _DAMPING_FACTOR
+        if damping > _DAMPING_MAX:
+            break
+    return NelderMeadResult(np.array(x), value, evals, converged)
+
+
+def _damped_step(jtj, jte, damping: float, beta: float, floor_beta: bool):
+    """The Levenberg-Marquardt step of `_polish` as a list, or None where
+    the damped system fails `_ldlt`'s determinant rule. With `floor_beta`,
+    a step that would take beta below BETA_FLOOR is solved again with the
+    beta step fixed at BETA_FLOOR - beta."""
+    matrix = jtj * (1.0 + damping * np.eye(3))
+    rhs = -jte
+    step = [0.0] * 3
+    try:
+        if not _ldlt(memoryview(matrix), memoryview(rhs), 3, math.sqrt, step):
+            return None
+        if floor_beta and beta + step[0] < BETA_FLOOR:
+            hold = BETA_FLOOR - beta
+            rhs[1:] -= matrix[1:, 0] * hold
+            rhs[0] = hold
+            matrix[0] = matrix[:, 0] = 0.0
+            matrix[0, 0] = 1.0
+            if not _ldlt(memoryview(matrix), memoryview(rhs), 3, math.sqrt, step):
+                return None
+    except ZeroDivisionError:
+        return None
+    return step
 
 
 def _fit_tolerances(window: BubbleWindow, bounds: SearchBounds,
@@ -531,19 +621,21 @@ def recursive_seed_search(
 
     Each distinct seed is searched once: a box whose midpoint was already
     searched is cut where that search was and adds no second solution (it
-    would be an exact copy, which the dedup pass drops). A seed's search,
-    its first simplex and its restarts, stops at the first point whose
-    value is below every value that search has seen and that either has
-    beta above BETA_CEILING or lies within DEDUP_TOL of a solution an
-    earlier seed kept, compared in (beta, |omega|, t2c) (phi is solved at
-    each point, and the phase-solved value is even in omega): that seed
-    yields no fit and its box is cut at that point.
-    Results are canonicalized, deduplicated within DEDUP_TOL, and sorted
-    by RMSE ascending with lexicographic (beta, omega, t2c, phi)
-    tie-breaking, so identical inputs always produce identical output.
+    would be an exact copy). A seed's search, its first simplex and its
+    polishing passes, stops at the first point whose value is below every
+    value that search has seen and that either has beta above
+    BETA_CEILING or lies within DEDUP_TOL of a solution an earlier seed
+    kept, compared in (beta, |omega|, t2c) (phi is solved at each point,
+    and the phase-solved value is even in omega): that seed yields no fit
+    and its box is cut at that point. So no two results lie within
+    DEDUP_TOL of each other.
+    Results are canonicalized and sorted by RMSE ascending with
+    lexicographic (beta, omega, t2c, phi) tie-breaking, so identical
+    inputs always produce identical output.
     `floor_beta` turns on the reported-fit floor used when mirroring
     fixed-exponent conventions: points with beta below BETA_FLOOR
-    evaluate to +inf, and a seed below the floor starts at it.
+    evaluate to +inf, a seed below the floor starts at it, and a polishing
+    step that would cross it holds beta at the floor.
 
     Raises DataError, naming the seeds searched and those abandoned past
     BETA_CEILING, when the search keeps no fit.
@@ -551,10 +643,11 @@ def recursive_seed_search(
     if len(window) < 10:
         raise UsageError("need at least 10 observations for a 7-parameter fit")
     base_objective = window_objective(window)
+    solver = WindowSolver(window)
     lowest = math.inf  # the lowest value of the running seed's search
     # (beta, |omega|, t2c) of each solution kept so far
     found: list[tuple[float, float, float]] = []
-    beta_tol, omega_tol, t2c_tol = DEDUP_TOL[:3]
+    beta_tol, omega_tol, t2c_tol = DEDUP_TOL
 
     def objective(theta):
         nonlocal lowest
@@ -591,7 +684,8 @@ def recursive_seed_search(
         if key not in cuts:
             lowest = math.inf
             try:
-                outcome = _search_from_seed(objective, seed, x_tol, f_tol, settings)
+                outcome = _search_from_seed(objective, seed, x_tol, f_tol, settings,
+                                            solver.gauss_newton, floor_beta)
             except _SeedStopped as stop:
                 cuts[key], past = stop.args
                 past_ceiling += past
@@ -624,7 +718,6 @@ def recursive_seed_search(
     # basis is numerically degenerate after the ulp-level phase shift are
     # dropped)
     # no beta floor re-check: the best vertex is finite, canonicalizing keeps beta
-    solver = WindowSolver(window)
     entries = []
     for seed, outcome in solutions.items():
         solved = solver.solve(*outcome.x.tolist())
@@ -636,22 +729,13 @@ def recursive_seed_search(
             entries.append((solver.rmse(held[4]), theta, seed,
                             outcome.evaluations, outcome.converged, held[:3]))
     entries.sort(key=lambda e: (e[0], e[1]))
-    kept: list[tuple] = []
-    for entry in entries:
-        theta = entry[1]
-        duplicate = any(
-            all(abs(theta[k] - other[1][k]) < DEDUP_TOL[k] for k in range(4))
-            for other in kept
-        )
-        if not duplicate:
-            kept.append(entry)
-    if not kept:
+    if not entries:
         raise DataError(f"the search kept no fit: {len(cuts)} seeds searched, "
                         f"{past_ceiling} abandoned past beta {BETA_CEILING}")
 
     return [
         _build_result(window, theta, linear, value, seed, evals, conv, ranges)
-        for value, theta, seed, evals, conv, linear in kept
+        for value, theta, seed, evals, conv, linear in entries
     ]
 
 

@@ -23,7 +23,10 @@ The kernel is one object per window, `WindowSolver`, whose `solve` is the
 only way to a linear completion. Two functions sit on top of it, each
 for a contract the object does not keep: `window_objective` is the
 objective the simplexes minimize (+inf outside the domain), and
-`linear_solve` raises DegeneracyError naming the collinear pair.
+`linear_solve` raises DegeneracyError naming the collinear pair. With
+the phase solved, `WindowSolver.gauss_newton` gives the Gauss-Newton
+system of the SSE in (beta, omega, t2c) from `solve`'s buffers; the
+fitter polishes each simplex's end with it.
 
 The kernel builds its oscillation columns without cos and sin: with
 psi the angle (omega ln(tc-t), plus phi when the phase is held),
@@ -234,8 +237,12 @@ class WindowSolver:
     Gram has unit diagonal) by an LDL^T factorization, and the SSE comes
     from an explicit residual pass so near-perfect fits keep full
     precision. `solve` and the stacked `rmse_many` run the same
-    `_fill_columns`, `_ldlt` and `_b_floor_ok`. Buffers are reused across
-    calls: bind one solver per thread when evaluating in parallel.
+    `_fill_columns`, `_ldlt` and `_b_floor_ok`. `gauss_newton` runs a
+    phase-solved `solve` and builds the three derivative rows of the
+    model from its columns, coefficients and residual, in the rows below
+    the design rows, so that one gemm against [X; Z; e] gives every
+    product it needs. Buffers are reused across calls: bind one solver
+    per thread when evaluating in parallel.
 
     The b-floor is 1e-12 of the data scale. Below it c is unidentifiable
     and reported as 0, which is exact only while the oscillation term
@@ -248,12 +255,13 @@ class WindowSolver:
     """
 
     __slots__ = ("y", "ages", "n", "log_n", "age_max", "b_floor", "lg", "r",
-                 "f", "cos", "sin", "systems", "blocks", "failure")
+                 "f", "cos", "sin", "systems", "blocks", "failure", "jacobian")
 
     def __init__(self, window: BubbleWindow):
         n = len(window.values)
-        # y above the design rows {1, f, cos, sin}: see the module docstring
-        rows = np.empty((5, n))
+        # y above the design rows {1, f, cos, sin}: see the module docstring;
+        # below them the derivative rows Z of `gauss_newton` and the residual
+        rows = np.empty((9, n))
         rows[0] = window.values
         rows[1] = 1.0
         self.y, self.f, self.cos, self.sin = rows[0], rows[2], rows[3], rows[4]
@@ -263,7 +271,14 @@ class WindowSolver:
         self.age_max = float(self.ages.max()) if n else 0.0
         self.b_floor = 1e-12 * max(float(np.max(np.abs(self.y))) if n else 0.0, 1e-12)
         self.lg = np.empty(n)
-        self.r = np.empty(n)
+        self.r = rows[8]
+        # gauss_newton's buffers: Z, [X; Z; e] transposed, the product
+        # Z [X; Z; e]^T, M = (G^-1 X Z^T)^T, M X, and memoryviews of each
+        # row of Z X^T with the row of M it solves for
+        product, m = np.empty((3, 8)), np.empty((3, 4))
+        self.jacobian = (rows[5:8], rows[1:9].T, product, m, np.empty((3, n)),
+                         [(memoryview(product[j, :4]), memoryview(m[j]))
+                          for j in range(3)])
         # per column count: design rows, the rows y and design and their
         # transpose, the product [X^T y | Gram], coefficients [-1, x], and
         # memoryviews of the Gram, X^T y and x (fast float items)
@@ -314,6 +329,55 @@ class WindowSolver:
         if not math.isfinite(sse):
             return self._reject("overflow")
         return a, b, c, phi, sse
+
+    def gauss_newton(self, beta: float, omega: float, t2c: float):
+        """The Gauss-Newton system (J^T J, J^T e) of the phase-solved SSE
+        at (beta, omega, t2c), as a (3, 3) and a (3,) array, or None where
+        `solve` rejects the point.
+
+        With the phase and the linear parameters projected out (variable
+        projection: Golub & Pereyra 1973, with Kaufman's 1975 Jacobian),
+        the residual e = yhat - y is a function of (beta, omega, t2c)
+        alone. From `solve`'s buffers, with g = yhat - a and h = C2 f
+        cos(psi) - C1 f sin(psi), the model's derivative rows are Z =
+        [ln tau g; ln tau h; (beta g + omega h) / tau]. One gemm gives
+        Z X^T, Z Z^T and Z e; then J^T e = Z e, which is exactly half the
+        SSE's gradient (e is orthogonal to the design rows X), and J^T J =
+        Z Z^T - Z X^T G^-1 X Z^T with G = X X^T. It is formed as the Gram
+        of J = Z - M X, with M = (G^-1 X Z^T)^T from `_ldlt`.
+        """
+        solved = self.solve(beta, omega, t2c)
+        if solved is None:
+            return None
+        design, *_, gram, _, x = self.systems[4]
+        a, c1, c2 = x[0], x[2], 0.5 * x[3]  # the sin row holds f sin(psi) / 2
+        z, z_rows, product, m, mx, views = self.jacobian
+        lg = self.lg
+        g, h, d_t2c = z
+        np.add(self.r, self.y, g)
+        g -= a                             # g = yhat - a
+        np.multiply(self.cos, c2, h)
+        np.multiply(self.sin, 2.0 * c1, d_t2c)
+        h -= d_t2c                         # h = C2 f cos(psi) - C1 f sin(psi)
+        np.multiply(g, beta, d_t2c)
+        np.multiply(h, omega, lg)
+        d_t2c += lg
+        np.add(self.ages, t2c, lg)         # tau
+        d_t2c /= lg                        # (beta g + omega h) / tau
+        np.log(lg, lg)
+        g *= lg
+        h *= lg
+        np.dot(z, z_rows, out=product)
+        jte = product[:, 7].copy()
+        for q, row in views:               # M, a row at a time
+            _ldlt(gram, q, 4, math.sqrt, row)
+        # J = Z - M X, whose Gram is PSD as computed; Z Z^T - Z X^T M^T,
+        # the same in exact arithmetic, loses it to cancellation
+        np.dot(m, design, out=mx)
+        z -= mx
+        np.dot(z, z_rows, out=product)
+        jtj = product[:, 4:7]
+        return 0.5 * (jtj + jtj.T), jte
 
     def _reject(self, cause: str) -> None:
         self.failure = cause

@@ -31,6 +31,9 @@ class GeneratorSpec:
             raise UsageError("n_weekdays must be at least 10")
         if not 0 <= self.noise_sigma < np.inf:
             raise UsageError("noise_sigma must be finite and non-negative")
+        # numpy's SeedSequence rejects a negative seed with a bare ValueError
+        if self.rng_seed < 0:
+            raise UsageError(f"rng_seed must be non-negative (got {self.rng_seed})")
 
 
 def weekday_grid(end: dt.date, n: int) -> tuple[dt.date, ...]:

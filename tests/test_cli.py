@@ -113,6 +113,19 @@ class TestGenerateCommand:
         assert err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("spec, flags", [
+        (dict(GEN_SPEC, rng_seed=-1), ()),
+        (GEN_SPEC, ("--rng-seed", "-1")),
+    ], ids=["spec", "flag"])
+    def test_negative_rng_seed_exits_1(self, spec, flags, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert run("--input", str(spec_path), "--command", "generate",
+                   "--out", str(tmp_path / "out"), *flags) == 1
+        err = capsys.readouterr().err
+        assert err == "error: rng_seed must be non-negative (got -1)\n"
+
+
 class TestStatsCommand:
     def test_stats_json(self, crash_csv, tmp_path):
         out = tmp_path / "out"

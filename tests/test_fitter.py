@@ -25,7 +25,7 @@ from bubblefit import (
 )
 from bubblefit import fitter
 from bubblefit.fitter import _boundary_warnings, _fit_tolerances, classify_theta
-from bubblefit.lppl import linear_solve, window_objective
+from bubblefit.lppl import WindowSolver, linear_solve, window_objective
 
 from conftest import (
     ANCHOR,
@@ -419,12 +419,15 @@ class TestRecursiveSeedSearch:
 
     def test_a_seed_search_depends_on_its_seed_alone(self, small_window):
         objective = window_objective(small_window)
+        system = WindowSolver(small_window).gauss_newton
         x_tol, f_tol = _fit_tolerances(small_window, LIGHT_BOUNDS, LIGHT)
         seed = np.array([1.0, 10.0, 130.5])
-        first = fitter._search_from_seed(objective, seed, x_tol, f_tol, LIGHT)
+        first = fitter._search_from_seed(objective, seed, x_tol, f_tol, LIGHT,
+                                         system, False)
         fitter._search_from_seed(objective, np.array([0.5, 15.0, 130.5]),
-                                 x_tol, f_tol, LIGHT)
-        again = fitter._search_from_seed(objective, seed, x_tol, f_tol, LIGHT)
+                                 x_tol, f_tol, LIGHT, system, False)
+        again = fitter._search_from_seed(objective, seed, x_tol, f_tol, LIGHT,
+                                         system, False)
         assert first.x.tolist() == again.x.tolist()
         assert (first.value, first.evaluations, first.converged) == (
             again.value, again.evaluations, again.converged)
@@ -534,6 +537,23 @@ def counting_objective_calls(monkeypatch) -> list:
     return calls
 
 
+def counting_system_builds(monkeypatch) -> list:
+    """Record the point of every Gauss-Newton system the search builds."""
+    builds = []
+    gauss_newton = fitter.WindowSolver.gauss_newton
+
+    def counted(self, *theta):
+        builds.append(theta)
+        return gauss_newton(self, *theta)
+
+    monkeypatch.setattr(fitter.WindowSolver, "gauss_newton", counted)
+    return builds
+
+
+# the bowl's residuals are (theta - minimum) / BOWL_SCALES
+BOWL_SCALES = np.array([1.0, 10.0, 100.0])
+
+
 def bowl(minimum):
     """A bowl with its minimum at `minimum`, a (beta, omega, t2c) point."""
     def objective(theta):
@@ -542,17 +562,30 @@ def bowl(minimum):
     return objective
 
 
+def bowl_system(minimum):
+    """The bowl's exact Gauss-Newton system (J^T J, J^T e)."""
+    def system(*theta):
+        residual = (np.array(theta) - minimum) / BOWL_SCALES
+        return np.diag(BOWL_SCALES ** -2.0), residual / BOWL_SCALES
+    return system
+
+
 def bowl_objective(monkeypatch, beta: float, moved=None, seeds=()) -> None:
     """Make the search's objective a bowl with its minimum at (beta, 10,
-    130.5), in place of the window's RMSE; once `seeds` records a second
-    seed, the minimum moves to `moved`."""
-    first = bowl((beta, 10.0, 130.5))
-    later = bowl(moved) if moved is not None else first
+    130.5), in place of the window's RMSE, and its Gauss-Newton system the
+    bowl's; once `seeds` records a second seed, the minimum moves to
+    `moved`."""
+    first = (beta, 10.0, 130.5)
+    later = moved if moved is not None else first
 
     def objective(theta):
-        return (first if len(seeds) < 2 else later)(theta)
+        return bowl(first if len(seeds) < 2 else later)(theta)
+
+    def system(self, *theta):
+        return bowl_system(first if len(seeds) < 2 else later)(*theta)
 
     monkeypatch.setattr(fitter, "window_objective", lambda window: objective)
+    monkeypatch.setattr(fitter.WindowSolver, "gauss_newton", system)
 
 
 def calls_by_seed(calls: list, seeds: list) -> list:
@@ -596,11 +629,14 @@ class TestBetaCeiling:
 
     def test_chain_bubble_costs_fewer_calls(self, monkeypatch):
         calls = counting_objective_calls(monkeypatch)
+        builds = counting_system_builds(monkeypatch)
         recursive_seed_search(chain_window(0), COARSE_BOUNDS)
         # 9,703 calls while every seed was searched to its end, 4,894 while
-        # a seed that reached a kept fit still ran to its end (3,695 since)
+        # a seed that reached a kept fit still ran to its end, 3,695 while
+        # each restart ran a new simplex (3,126 calls and 3 builds since)
         assert len(calls) <= 0.8 * 9703
         assert len(calls) <= 0.85 * 4894
+        assert len(calls) + len(builds) <= 0.9 * 3695
 
     def test_a_probe_past_the_ceiling_keeps_the_seed(self, small_window,
                                                       monkeypatch):
@@ -653,6 +689,76 @@ class TestBetaCeiling:
         for *theta, value in pinned:
             assert any(near_fit(theta, fit) and fit.diagnostics.rmse <= value + f_tol
                        for fit in chain_fits(k))
+
+
+class TestPolish:
+    @pytest.mark.parametrize("k", range(len(CHAIN)))
+    def test_a_polish_never_ends_above_its_start(self, k):
+        # from the ends of loose simplexes, some far from any minimum
+        window = chain_window(k)
+        objective = window_objective(window)
+        system = WindowSolver(window).gauss_newton
+        x_tol, f_tol = _fit_tolerances(window, COARSE_BOUNDS, SearchSettings())
+        for seed in ([0.33, 6.3, 30.0], [0.8, 12.0, 100.0], [0.05, 3.0, 200.0]):
+            start = nelder_mead(objective, seed, x_tol=1e-2, f_tol=1e-3,
+                                max_evals=300)
+            polished = fitter._polish(objective, system, start, x_tol, f_tol,
+                                      200, False)
+            assert polished.value <= start.value
+            assert polished.value == objective(polished.x.tolist())
+            assert 1 <= polished.evaluations <= 200
+
+    def test_a_polish_reaches_the_fit_from_a_loose_simplex(self):
+        # a simplex stopped after 60 calls near chain bubble 0's planted fit;
+        # the polish ends on the search's best fit in a few steps
+        window = chain_window(0)
+        objective = window_objective(window)
+        x_tol, f_tol = _fit_tolerances(window, COARSE_BOUNDS, SearchSettings())
+        start = nelder_mead(objective, [0.4, 6.0, 40.0], max_evals=60)
+        best = chain_fits(0)[0].diagnostics.rmse
+        assert start.value > best + 1000.0 * f_tol
+        polished = fitter._polish(objective, WindowSolver(window).gauss_newton,
+                                  start, x_tol, f_tol, 200, False)
+        assert polished.value <= best + f_tol
+        assert polished.converged
+        assert polished.evaluations <= 20
+
+    def test_a_floored_polish_holds_beta_at_the_floor(self, small_window,
+                                                        monkeypatch):
+        # the bowl's minimum lies below the floor; every step toward it is
+        # held at the floor, and the polish ends on the floored minimum
+        bowl_objective(monkeypatch, 0.005)
+        fits = recursive_seed_search(small_window, bounds=BETA_LINE,
+                                     settings=LIGHT, floor_beta=True)
+        assert [f.params.beta for f in fits] == [fitter.BETA_FLOOR]
+        assert fits[0].params.omega == pytest.approx(10.0, abs=1e-6)
+        assert fits[0].params.t2c == pytest.approx(130.5, abs=1e-5)
+
+    def test_a_floored_search_keeps_no_fit_below_the_floor(self, monkeypatch):
+        # chain bubble 1 keeps fits at beta ~ 2e-6 when unfloored; floored,
+        # its polish walks along the floor, which cost 3,973 calls with
+        # simplex restarts (2,165 calls and 169 builds since); a step
+        # merely clipped at the floor took 38,745 calls and 18,378 builds
+        assert min(f.params.beta for f in chain_fits(1)) < fitter.BETA_FLOOR
+        calls = counting_objective_calls(monkeypatch)
+        builds = counting_system_builds(monkeypatch)
+        fits = recursive_seed_search(chain_window(1), COARSE_BOUNDS,
+                                     floor_beta=True)
+        assert min(f.params.beta for f in fits) >= fitter.BETA_FLOOR
+        assert len(calls) + len(builds) <= 0.8 * 3973
+
+    def test_no_restarts_never_polish(self, small_window, monkeypatch):
+        def polish(*args):
+            raise AssertionError("polished with restarts=0")
+
+        monkeypatch.setattr(fitter, "_polish", polish)
+        builds = counting_system_builds(monkeypatch)
+        settings = SearchSettings(x_tol_rel=1e-4, f_tol_rel=1e-7, max_evals=1500,
+                                  restarts=0, stall_evals=250)
+        for floor_beta in (False, True):
+            assert recursive_seed_search(small_window, bounds=LIGHT_BOUNDS,
+                                         settings=settings, floor_beta=floor_beta)
+        assert builds == []
 
 
 # seeds on a line in beta: the omega minimum width spans the seed box

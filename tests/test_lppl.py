@@ -239,6 +239,50 @@ class TestNonlinearRmse:
         assert minus == pytest.approx(plus, rel=1e-12)
 
 
+# (beta, omega, t2c) points of the Gauss-Newton system tests: near the
+# noisy window's planted fit, a negative omega, and far from the fit
+GAUSS_NEWTON_POINTS = [(0.33, 6.36, 30.0), (0.5, -8.0, 60.0), (0.2, 12.0, 15.0),
+                       (1.3, 3.0, 100.0), (0.05, -17.0, 200.0)]
+
+
+@pytest.fixture(scope="module")
+def noisy_solver():
+    params = canonical_params(b=-90.0, c=0.2)
+    return WindowSolver(window_of(generate(GeneratorSpec(params, 300, 5.0, 11))))
+
+
+class TestGaussNewton:
+    @pytest.mark.parametrize("point", GAUSS_NEWTON_POINTS)
+    def test_jte_is_half_the_sse_gradient(self, noisy_solver, point):
+        _, jte = noisy_solver.gauss_newton(*point)
+        gradient = []
+        for i in range(3):
+            step = 1e-6 * max(abs(point[i]), 1.0)
+            up, down = list(point), list(point)
+            up[i] += step
+            down[i] -= step
+            gradient.append((noisy_solver.solve(*up)[4]
+                             - noisy_solver.solve(*down)[4]) / (4.0 * step))
+        assert jte == pytest.approx(gradient, rel=1e-6)
+
+    @pytest.mark.parametrize("point", GAUSS_NEWTON_POINTS)
+    def test_jtj_is_symmetric_positive_semidefinite(self, noisy_solver, point):
+        jtj, _ = noisy_solver.gauss_newton(*point)
+        assert jtj.shape == (3, 3)
+        assert np.array_equal(jtj, jtj.T)
+        assert np.linalg.eigvalsh(jtj).min() >= -1e-12 * np.abs(jtj).max()
+
+    def test_a_point_solve_rejects_gives_none(self, noisy_solver):
+        # sum(f^2) would overflow
+        assert noisy_solver.gauss_newton(60.0, 6.0, 30.0) is None
+        assert noisy_solver.failure == "overflow"
+
+    def test_a_build_leaves_solve_unchanged(self, noisy_solver):
+        before = noisy_solver.solve(0.4, 7.0, 40.0)
+        noisy_solver.gauss_newton(0.2, 12.0, 15.0)
+        assert noisy_solver.solve(0.4, 7.0, 40.0) == before
+
+
 class TestHazard:
     def test_power_law_point(self):
         h = HazardParams(kappa=0.5, b_prime=1.0, c_prime=0.0, alpha=0.5)
