@@ -13,18 +13,22 @@ the seed box, but a seed is abandoned, with no solution, once its best
 point passes BETA_CEILING: past it the fit drifts until the b-floor rule
 stops it, at a point set by that rule and not by the data. A seed is
 also stopped, with no solution, once its best point comes within
-DEDUP_TOL of a solution an earlier seed kept in (beta, |omega|, t2c):
+DEDUP_TOL of the point an earlier seed ended at in (beta, |omega|, t2c):
 it would end on the same fit. Either way its box is then cut at that
 point. Every point the simplex and the polish try goes through one
-objective, which applies both rules. The boxes overlap (the box below on
-beta spans every omega and the one below on omega every beta), so a
-midpoint can come up again; a seed search is a pure function of the
-seed, so each distinct seed is searched once and a repeated box is cut
-at the stored point. Each solution takes phi from atan2 at its point;
-every solution is canonicalized and ranked by RMSE. No two solutions lie
-within DEDUP_TOL of each other: a seed's solution was a new lowest value
-of its search when it was tried, and was then compared with every
-earlier solution.
+objective, which applies both rules. A seed whose polish can take no
+step from the edge of the domain (below BETA_FLOOR, in the beta -> 0
+valley, or on the t2c = 1 day bound) ends at a point set by that edge
+and not by the data: its box is cut there and later seeds stop there as
+at any end point, but its solution is reported only if no other seed
+keeps one. The boxes overlap (the box below on beta spans every omega
+and the one below on omega every beta), so a midpoint can come up again;
+a seed search is a pure function of the seed, so each distinct seed is
+searched once and a repeated box is cut at the stored point. Each
+solution takes phi from atan2 at its point; every solution is
+canonicalized and ranked by RMSE. No two solutions lie within DEDUP_TOL
+of each other: a seed's end point was a new lowest value of its search
+when it was tried, and was then compared with every earlier end point.
 
 Canonical form: omega >= 0 and phi in [0, pi). A negative omega maps
 through cos(-w*x + p) = cos(w*x - p), and a phase in [pi, 2*pi) drops by
@@ -139,9 +143,9 @@ class SearchSettings:
     f_tol_rel by the window's value spread. `stall_evals` abandons a seed
     whose best value stops improving for that many evaluations.
     `restarts` is the number of Gauss-Newton polishing passes from the
-    best point of a seed's simplex; polishing ends after a pass that gains
-    no more than the scaled f_tol, and 0 runs none. A system build counts
-    against `max_evals` as one evaluation."""
+    best point of a seed's simplex; polishing ends after a pass that does
+    not end converged or gains no more than the scaled f_tol, and 0 runs
+    none. A system build counts against `max_evals` as one evaluation."""
 
     x_tol_rel: float = 1e-6
     f_tol_rel: float = 1e-8
@@ -478,14 +482,23 @@ class _SeedStopped(Exception):
 
 
 def _search_from_seed(objective, seed, x_tol, f_tol, settings: SearchSettings,
-                      system, floor_beta: bool) -> NelderMeadResult:
+                      system, floor_beta: bool) -> tuple[NelderMeadResult, bool]:
     """One simplex run plus up to `settings.restarts` Gauss-Newton
-    polishing passes from its best point, within the per-seed budget; a
-    pass that gains no more than f_tol ends the polishing."""
+    polishing passes from its best point, within the per-seed budget, and
+    whether the seed ended at the edge of the domain.
+
+    Polishing ends after a pass that does not end converged or gains no
+    more than f_tol. The seed ends at the edge when a pass can take no step
+    from a point below BETA_FLOOR or within x_tol of the t2c = 1 day
+    bound: every damped step that lowers the value there leaves the domain
+    (t2c < 1, or beta <= 0 or the collinear rule in the beta -> 0 valley,
+    where the kernel's rounding sets the last admissible values), so the
+    point is set by the edge and not by the data.
+    """
     best = nelder_mead(objective, seed, x_tol=x_tol, f_tol=f_tol,
                        max_evals=settings.max_evals,
                        stall_evals=settings.stall_evals)
-    total = best.evaluations
+    total, converged, at_edge = best.evaluations, best.converged, False
     for _ in range(settings.restarts):
         remaining = settings.max_evals - total
         if remaining <= 0:
@@ -493,11 +506,14 @@ def _search_from_seed(objective, seed, x_tol, f_tol, settings: SearchSettings,
         polished = _polish(objective, system, best, x_tol, f_tol, remaining,
                            floor_beta)
         total += polished.evaluations
-        improvement = best.value - polished.value
+        gain = best.value - polished.value
+        beta, _, t2c = best.x.tolist()
+        at_edge = gain == 0.0 and (beta < BETA_FLOOR or t2c - 1.0 <= x_tol[2])
         best = polished
-        if improvement <= f_tol:
+        converged = converged or polished.converged
+        if not polished.converged or gain <= f_tol:
             break
-    return best._replace(evaluations=total)
+    return best._replace(evaluations=total, converged=converged), at_edge
 
 
 def _polish(objective, system, start: NelderMeadResult, x_tol, f_tol,
@@ -510,14 +526,14 @@ def _polish(objective, system, start: NelderMeadResult, x_tol, f_tol,
     _DAMPING_FACTOR after a taken step and rises by it after a refused one.
     The run stops, converged, at a taken step within `x_tol` on every
     coordinate that gains no more than `f_tol`, as the simplex does; it
-    also stops where no damped step lowers the value (a refused step
-    within `x_tol`, or the damping past _DAMPING_MAX) and where `system`
-    gives None. Every trial point goes through `objective`; a system build
-    counts as one evaluation as well. With `floor_beta`, a step that would
-    take beta below BETA_FLOOR holds beta at the floor and steps in (omega,
-    t2c) alone.
+    also stops, not converged, where no damped step lowers the value (a
+    refused step within `x_tol`, or the damping past _DAMPING_MAX) and
+    where `system` gives None. Every trial point goes through `objective`;
+    a system build counts as one evaluation as well. With `floor_beta`, a
+    step that would take beta below BETA_FLOOR holds beta at the floor and
+    steps in (omega, t2c) alone.
     """
-    x, value, converged = start.x.tolist(), start.value, start.converged
+    x, value, converged = start.x.tolist(), start.value, False
     x_tol = x_tol.tolist()
     damping, evals, built = _DAMPING_START, 0, None
     while evals < budget:
@@ -624,11 +640,13 @@ def recursive_seed_search(
     would be an exact copy). A seed's search, its first simplex and its
     polishing passes, stops at the first point whose value is below every
     value that search has seen and that either has beta above
-    BETA_CEILING or lies within DEDUP_TOL of a solution an earlier seed
-    kept, compared in (beta, |omega|, t2c) (phi is solved at each point,
-    and the phase-solved value is even in omega): that seed yields no fit
-    and its box is cut at that point. So no two results lie within
-    DEDUP_TOL of each other.
+    BETA_CEILING or lies within DEDUP_TOL of the point an earlier seed
+    ended at, compared in (beta, |omega|, t2c) (phi is solved at each
+    point, and the phase-solved value is even in omega): that seed yields
+    no fit and its box is cut at that point. So no two results lie within
+    DEDUP_TOL of each other. A seed that ends at the edge of the domain
+    (see `_search_from_seed`) is cut, and stops later seeds, like any
+    other, but its fit is reported only if no other seed keeps one.
     Results are canonicalized and sorted by RMSE ascending with
     lexicographic (beta, omega, t2c, phi) tie-breaking, so identical
     inputs always produce identical output.
@@ -645,7 +663,7 @@ def recursive_seed_search(
     base_objective = window_objective(window)
     solver = WindowSolver(window)
     lowest = math.inf  # the lowest value of the running seed's search
-    # (beta, |omega|, t2c) of each solution kept so far
+    # (beta, |omega|, t2c) of each point a seed ended at so far
     found: list[tuple[float, float, float]] = []
     beta_tol, omega_tol, t2c_tol = DEDUP_TOL
 
@@ -669,9 +687,11 @@ def recursive_seed_search(
     x_tol, f_tol = _fit_tolerances(window, bounds, settings)
 
     # the point each distinct seed's box is cut at, and the outcome of each
-    # seed that was not stopped, both in first-search order
+    # seed that was not stopped (those that ended at the edge of the domain
+    # apart), in first-search order
     cuts: dict[tuple, np.ndarray] = {}
     solutions: dict[tuple, NelderMeadResult] = {}
+    at_edge: dict[tuple, NelderMeadResult] = {}
     past_ceiling = 0  # the seeds stopped past BETA_CEILING
 
     def search(lo: np.ndarray, up: np.ndarray) -> None:
@@ -684,13 +704,14 @@ def recursive_seed_search(
         if key not in cuts:
             lowest = math.inf
             try:
-                outcome = _search_from_seed(objective, seed, x_tol, f_tol, settings,
-                                            solver.gauss_newton, floor_beta)
+                outcome, edge = _search_from_seed(objective, seed, x_tol, f_tol,
+                                                  settings, solver.gauss_newton,
+                                                  floor_beta)
             except _SeedStopped as stop:
                 cuts[key], past = stop.args
                 past_ceiling += past
             else:
-                solutions[key] = outcome
+                (at_edge if edge else solutions)[key] = outcome
                 cuts[key] = outcome.x
                 beta, omega, t2c = outcome.x.tolist()
                 found.append((beta, abs(omega), t2c))
@@ -719,7 +740,7 @@ def recursive_seed_search(
     # dropped)
     # no beta floor re-check: the best vertex is finite, canonicalizing keeps beta
     entries = []
-    for seed, outcome in solutions.items():
+    for seed, outcome in (solutions or at_edge).items():
         solved = solver.solve(*outcome.x.tolist())
         if solved is None:
             continue

@@ -367,15 +367,11 @@ class TestRecursiveSeedSearch:
                 linear_solve(*theta, noise_free_window)[:3])
 
     def test_ranking_and_dedup(self, noise_free_fits):
-        values = [f.diagnostics.rmse for f in noise_free_fits]
-        assert values == sorted(values)
-        thetas = [f.params.theta() for f in noise_free_fits]
-        for i, a in enumerate(thetas):
-            for b in thetas[i + 1:]:
-                assert not all(
-                    abs(a[k] - b[k]) < tol
-                    for k, tol in enumerate((1e-3, 1e-3, 0.5, 1e-3))
-                )
+        assert_ranked_and_apart(noise_free_fits)
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_chain_fits_are_ranked_and_apart(self, k):
+        assert_ranked_and_apart(chain_fits(k))
 
     def test_deterministic(self, small_window):
         first = recursive_seed_search(small_window, bounds=LIGHT_BOUNDS,
@@ -422,15 +418,67 @@ class TestRecursiveSeedSearch:
         system = WindowSolver(small_window).gauss_newton
         x_tol, f_tol = _fit_tolerances(small_window, LIGHT_BOUNDS, LIGHT)
         seed = np.array([1.0, 10.0, 130.5])
-        first = fitter._search_from_seed(objective, seed, x_tol, f_tol, LIGHT,
-                                         system, False)
+        first, first_at_edge = fitter._search_from_seed(
+            objective, seed, x_tol, f_tol, LIGHT, system, False)
         fitter._search_from_seed(objective, np.array([0.5, 15.0, 130.5]),
                                  x_tol, f_tol, LIGHT, system, False)
-        again = fitter._search_from_seed(objective, seed, x_tol, f_tol, LIGHT,
-                                         system, False)
+        again, again_at_edge = fitter._search_from_seed(
+            objective, seed, x_tol, f_tol, LIGHT, system, False)
         assert first.x.tolist() == again.x.tolist()
-        assert (first.value, first.evaluations, first.converged) == (
-            again.value, again.evaluations, again.converged)
+        assert (first.value, first.evaluations, first.converged, first_at_edge) == (
+            again.value, again.evaluations, again.converged, again_at_edge)
+
+    @pytest.mark.parametrize("converged, passes", [(False, 1), (True, 3)])
+    def test_polishing_ends_after_a_pass_that_does_not_converge(
+            self, small_window, monkeypatch, converged, passes):
+        # each pass gains far more than f_tol; only a converged pass is
+        # followed by another
+        starts = []
+
+        def polish(objective, system, start, *args):
+            starts.append(start.value)
+            return start._replace(value=start.value - 1.0, evaluations=1,
+                                  converged=converged)
+
+        monkeypatch.setattr(fitter, "_polish", polish)
+        settings = SearchSettings(x_tol_rel=1e-4, f_tol_rel=1e-7, max_evals=1500,
+                                  restarts=3, stall_evals=250)
+        x_tol, f_tol = _fit_tolerances(small_window, LIGHT_BOUNDS, settings)
+        outcome, _ = fitter._search_from_seed(
+            window_objective(small_window), np.array([1.0, 10.0, 130.5]),
+            x_tol, f_tol, settings, None, False)
+        assert len(starts) == passes
+        assert outcome.value == starts[0] - passes
+
+    @pytest.mark.parametrize("flagged", ["second", "every"])
+    def test_a_fit_at_the_edge_is_reported_only_if_no_other_is_kept(
+            self, small_window, monkeypatch, flagged):
+        # marking seeds as ended at the edge changes the report alone: the
+        # same seeds are searched, and later seeds still stop at their points
+        search_from_seed = fitter._search_from_seed
+        seeds, at_edge = [], set()
+
+        def flagging(objective, seed, *args):
+            seeds.append(tuple(seed.tolist()))
+            outcome, edge = search_from_seed(objective, seed, *args)
+            return outcome, edge or seeds[-1] in at_edge
+
+        monkeypatch.setattr(fitter, "_search_from_seed", flagging)
+        plain = recursive_seed_search(small_window, bounds=LIGHT_BOUNDS,
+                                      settings=LIGHT)
+        plain_seeds = seeds[:]
+        assert len(plain) == 2
+        if flagged == "second":
+            at_edge.add(plain[1].seed_used)
+            expected = plain[:1]
+        else:
+            at_edge.update(f.seed_used for f in plain)
+            expected = plain
+        seeds.clear()
+        fits = recursive_seed_search(small_window, bounds=LIGHT_BOUNDS,
+                                     settings=LIGHT)
+        assert seeds == plain_seeds
+        assert [f.to_dict() for f in fits] == [f.to_dict() for f in expected]
 
 
 # the three bubbles of the benchmark's chained series, (scale, parameters,
@@ -467,6 +515,15 @@ def noisy_window(rng_seed: int) -> BubbleWindow:
 @functools.cache
 def noisy_fits(rng_seed: int) -> list:
     return recursive_seed_search(noisy_window(rng_seed), settings=NOISY_SETTINGS)
+
+
+def assert_ranked_and_apart(fits) -> None:
+    """The fits are sorted by RMSE, and no two lie within DEDUP_TOL of each
+    other in (beta, |omega|, t2c)."""
+    values = [f.diagnostics.rmse for f in fits]
+    assert values == sorted(values)
+    for i, fit in enumerate(fits):
+        assert not any(near_fit(fit.params.theta(), other) for other in fits[i + 1:])
 
 
 def assert_search_reaches_oracle(window, best, bounds, settings):
@@ -568,6 +625,16 @@ def bowl_system(minimum):
         residual = (np.array(theta) - minimum) / BOWL_SCALES
         return np.diag(BOWL_SCALES ** -2.0), residual / BOWL_SCALES
     return system
+
+
+def walled(minimum):
+    """The bowl with its minimum at `minimum`, +inf outside the kernel's
+    domain (t2c < 1 or beta <= 0)."""
+    value = bowl(minimum)
+
+    def objective(theta):
+        return math.inf if theta[2] < 1.0 or theta[0] <= 0.0 else value(theta)
+    return objective
 
 
 def bowl_objective(monkeypatch, beta: float, moved=None, seeds=()) -> None:
@@ -759,6 +826,44 @@ class TestPolish:
             assert recursive_seed_search(small_window, bounds=LIGHT_BOUNDS,
                                          settings=settings, floor_beta=floor_beta)
         assert builds == []
+
+    @pytest.mark.parametrize("seed", [(0.5, 10.0, 1.0), (0.5, 10.0, 130.5)])
+    def test_a_seed_that_ends_on_the_t2c_bound_is_at_the_edge(self, small_window,
+                                                              seed):
+        # the minimum lies past t2c = 1 day: the simplex ends on the bound,
+        # and every polishing step that lowers the value crosses it
+        minimum = np.array([0.5, 10.0, -50.0])
+        x_tol, f_tol = _fit_tolerances(small_window, SearchBounds(), SearchSettings())
+        outcome, at_edge = fitter._search_from_seed(
+            walled(minimum), np.array(seed), x_tol, f_tol, SearchSettings(),
+            bowl_system(minimum), False)
+        assert outcome.x[2] - 1.0 <= x_tol[2]
+        assert at_edge
+
+    @pytest.mark.parametrize("system_minimum, edge", [
+        ((-1.0, 10.0, 130.5), True),
+        ((0.005, 10.0, 130.5), False),
+    ], ids=["system_past_zero", "exact_system"])
+    def test_a_seed_below_the_floor_is_at_the_edge_if_it_cannot_step(
+            self, small_window, system_minimum, edge):
+        # the value's minimum lies at beta 0.005; a system pointing below
+        # beta = 0, as the rounding in the beta -> 0 valley gives, lets the
+        # polish take no step, and the exact system lets it take one
+        x_tol, f_tol = _fit_tolerances(small_window, SearchBounds(), SearchSettings())
+        outcome, at_edge = fitter._search_from_seed(
+            walled((0.005, 10.0, 130.5)), np.array([0.3, 10.0, 130.5]), x_tol,
+            f_tol, SearchSettings(), bowl_system(np.array(system_minimum)), False)
+        assert outcome.x[0] < fitter.BETA_FLOOR
+        assert at_edge is edge
+
+    def test_an_inner_minimum_is_not_at_the_edge(self, small_window):
+        minimum = np.array([0.5, 10.0, 130.5])
+        x_tol, f_tol = _fit_tolerances(small_window, SearchBounds(), SearchSettings())
+        outcome, at_edge = fitter._search_from_seed(
+            walled(minimum), np.array([0.4, 12.0, 100.0]), x_tol, f_tol,
+            SearchSettings(), bowl_system(minimum), False)
+        assert outcome.value < 1e-12
+        assert not at_edge
 
 
 # seeds on a line in beta: the omega minimum width spans the seed box
