@@ -16,8 +16,8 @@ also stopped, with no solution, once its best point comes within
 DEDUP_TOL of the point an earlier seed ended at in (beta, |omega|, t2c):
 it would end on the same fit. Either way its box is then cut at that
 point. Every point the simplex and the polish try goes through one
-objective, which applies both rules. A seed whose polish can take no
-step from the edge of the domain (below BETA_FLOOR, in the beta -> 0
+objective, which applies both rules. A seed whose polish ends not
+converged at the edge of the domain (below BETA_FLOOR, in the beta -> 0
 valley, or on the t2c = 1 day bound) ends at a point set by that edge
 and not by the data: its box is cut there and later seeds stop there as
 at any end point, but its solution is reported only if no other seed
@@ -142,31 +142,31 @@ class SearchSettings:
     """Search tolerances; x_tol_rel is scaled by each seed-bound width and
     f_tol_rel by the window's value spread. `stall_evals` abandons a seed
     whose best value stops improving for that many evaluations.
-    `restarts` is the number of Gauss-Newton polishing passes from the
-    best point of a seed's simplex; polishing ends after a pass that does
-    not end converged or gains no more than the scaled f_tol, and 0 runs
-    none. A system build counts against `max_evals` as one evaluation."""
+    `restarts` 1 polishes the best point of each seed's simplex with one
+    Gauss-Newton (Levenberg-Marquardt) run, and 0 polishes none. A system
+    build counts against `max_evals` as one evaluation."""
 
     x_tol_rel: float = 1e-6
     f_tol_rel: float = 1e-8
     max_evals: int = 20000
-    restarts: int = 2
+    restarts: int = 1
     stall_evals: int | None = 800
 
     def __post_init__(self):
         # a NaN or negative tolerance never converges, so every simplex
-        # would end at the stall limit and every polishing pass would run
+        # would end at the stall limit and no polish would end converged
         for name in ("x_tol_rel", "f_tol_rel"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise UsageError(f"{name} must be finite and non-negative "
                                  f"(got {value!r})")
-        for name, least in (("max_evals", 1), ("restarts", 0), ("stall_evals", 1)):
+        # type(), not isinstance: a bool is an int, and True a budget of 1
+        for name, least, most in (("max_evals", 1, math.inf), ("restarts", 0, 1),
+                                  ("stall_evals", 1, math.inf)):
             value = getattr(self, name)
-            if name == "stall_evals" and value is None:
-                continue
-            if not (isinstance(value, int) and value >= least):
-                raise UsageError(f"{name} must be an integer >= {least} "
+            if not (type(value) is int and least <= value <= most
+                    or name == "stall_evals" and value is None):
+                raise UsageError(f"{name} must be an integer in [{least}, {most}] "
                                  f"(got {value!r})")
 
 
@@ -483,37 +483,26 @@ class _SeedStopped(Exception):
 
 def _search_from_seed(objective, seed, x_tol, f_tol, settings: SearchSettings,
                       system, floor_beta: bool) -> tuple[NelderMeadResult, bool]:
-    """One simplex run plus up to `settings.restarts` Gauss-Newton
-    polishing passes from its best point, within the per-seed budget, and
-    whether the seed ended at the edge of the domain.
-
-    Polishing ends after a pass that does not end converged or gains no
-    more than f_tol. The seed ends at the edge when a pass can take no step
-    from a point below BETA_FLOOR or within x_tol of the t2c = 1 day
-    bound: every damped step that lowers the value there leaves the domain
-    (t2c < 1, or beta <= 0 or the collinear rule in the beta -> 0 valley,
-    where the kernel's rounding sets the last admissible values), so the
-    point is set by the edge and not by the data.
-    """
+    """One simplex run, then (with `settings.restarts` 1 and budget left)
+    one Gauss-Newton polish from its best point within the per-seed
+    budget; and whether the seed ended at the edge of the domain: its
+    polish ended not converged below BETA_FLOOR or within x_tol of the
+    t2c = 1 day bound. No damped step there lowers the value and stays in
+    the domain (t2c >= 1, beta > 0 and, in the beta -> 0 valley, the
+    collinear rule, where the kernel's rounding sets the last admissible
+    values), so the point is set by the edge and not by the data."""
     best = nelder_mead(objective, seed, x_tol=x_tol, f_tol=f_tol,
                        max_evals=settings.max_evals,
                        stall_evals=settings.stall_evals)
-    total, converged, at_edge = best.evaluations, best.converged, False
-    for _ in range(settings.restarts):
-        remaining = settings.max_evals - total
-        if remaining <= 0:
-            break
-        polished = _polish(objective, system, best, x_tol, f_tol, remaining,
-                           floor_beta)
-        total += polished.evaluations
-        gain = best.value - polished.value
-        beta, _, t2c = best.x.tolist()
-        at_edge = gain == 0.0 and (beta < BETA_FLOOR or t2c - 1.0 <= x_tol[2])
-        best = polished
-        converged = converged or polished.converged
-        if not polished.converged or gain <= f_tol:
-            break
-    return best._replace(evaluations=total, converged=converged), at_edge
+    remaining = settings.max_evals - best.evaluations
+    if not settings.restarts or remaining <= 0:
+        return best, False
+    polished = _polish(objective, system, best, x_tol, f_tol, remaining,
+                       floor_beta)
+    beta, _, t2c = polished.x.tolist()
+    at_edge = not polished.converged and (beta < BETA_FLOOR or t2c - 1.0 <= x_tol[2])
+    return polished._replace(evaluations=best.evaluations + polished.evaluations,
+                             converged=best.converged or polished.converged), at_edge
 
 
 def _polish(objective, system, start: NelderMeadResult, x_tol, f_tol,
@@ -637,22 +626,22 @@ def recursive_seed_search(
 
     Each distinct seed is searched once: a box whose midpoint was already
     searched is cut where that search was and adds no second solution (it
-    would be an exact copy). A seed's search, its first simplex and its
-    polishing passes, stops at the first point whose value is below every
-    value that search has seen and that either has beta above
-    BETA_CEILING or lies within DEDUP_TOL of the point an earlier seed
-    ended at, compared in (beta, |omega|, t2c) (phi is solved at each
-    point, and the phase-solved value is even in omega): that seed yields
-    no fit and its box is cut at that point. So no two results lie within
-    DEDUP_TOL of each other. A seed that ends at the edge of the domain
-    (see `_search_from_seed`) is cut, and stops later seeds, like any
-    other, but its fit is reported only if no other seed keeps one.
+    would be an exact copy). A seed's search, its simplex and its polish,
+    stops at the first point whose value is below every value that search
+    has seen and that either has beta above BETA_CEILING or lies within
+    DEDUP_TOL of the point an earlier seed ended at, compared in (beta,
+    |omega|, t2c) (phi is solved at each point, and the phase-solved value
+    is even in omega): that seed yields no fit and its box is cut there.
+    So no two results lie within DEDUP_TOL of each other. A seed that ends
+    at the edge of the domain (see `_search_from_seed`) is cut, and stops
+    later seeds, like any other, but its fit is reported only if no other
+    seed keeps one.
     Results are canonicalized and sorted by RMSE ascending with
     lexicographic (beta, omega, t2c, phi) tie-breaking, so identical
     inputs always produce identical output.
     `floor_beta` turns on the reported-fit floor used when mirroring
     fixed-exponent conventions: points with beta below BETA_FLOOR
-    evaluate to +inf, a seed below the floor starts at it, and a polishing
+    evaluate to +inf, a seed below the floor starts at it, and a polish
     step that would cross it holds beta at the floor.
 
     Raises DataError, naming the seeds searched and those abandoned past

@@ -11,6 +11,7 @@ import bisect
 import csv
 import datetime as dt
 import math
+import re
 import warnings
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
@@ -34,25 +35,29 @@ _MONTHS = {
     "jul": 7, "aug": 8, "sep": 9, "oct": 10, "nov": 11, "dec": 12,
 }
 
+# from Python 3.11 date.fromisoformat also reads 20050630 and 2005-W26-4
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
 
 def parse_date(text: str) -> dt.date:
-    """Parse an ISO-8601 (1989-05-15) or DD-MMM-YYYY (15-May-1989) date.
+    """Parse a YYYY-MM-DD (1989-05-15) or DD-MMM-YYYY (15-May-1989) date.
 
     Month names are matched case-insensitively against English
     abbreviations so parsing does not depend on the process locale.
     """
     text = text.strip()
-    try:
-        return dt.date.fromisoformat(text)
-    except ValueError:
-        pass
+    if _ISO_DATE.fullmatch(text):
+        try:
+            return dt.date.fromisoformat(text)
+        except ValueError:
+            pass
     parts = text.split("-")
     if len(parts) == 3 and parts[1][:3].lower() in _MONTHS:
         try:
             return dt.date(int(parts[2]), _MONTHS[parts[1][:3].lower()], int(parts[0]))
         except ValueError as exc:
             raise DataError(f"invalid calendar date: {text!r}") from exc
-    raise DataError(f"unparseable date: {text!r} (expected ISO-8601 or DD-MMM-YYYY)")
+    raise DataError(f"unparseable date: {text!r} (expected YYYY-MM-DD or DD-MMM-YYYY)")
 
 
 def is_weekday(d: dt.date) -> bool:

@@ -320,7 +320,12 @@ class TestRecursiveSeedSearch:
         ("f_tol_rel", math.nan),
         ("max_evals", 0),
         ("restarts", -1),
+        ("restarts", 2),
         ("stall_evals", 0),
+        # a bool is an int to isinstance; True would give one evaluation
+        ("max_evals", True),
+        ("restarts", True),
+        ("stall_evals", True),
     ])
     def test_settings_that_break_the_search_are_rejected(self, field, value):
         with pytest.raises(UsageError, match=f"^{field} "):
@@ -428,27 +433,23 @@ class TestRecursiveSeedSearch:
         assert (first.value, first.evaluations, first.converged, first_at_edge) == (
             again.value, again.evaluations, again.converged, again_at_edge)
 
-    @pytest.mark.parametrize("converged, passes", [(False, 1), (True, 3)])
-    def test_polishing_ends_after_a_pass_that_does_not_converge(
-            self, small_window, monkeypatch, converged, passes):
-        # each pass gains far more than f_tol; only a converged pass is
-        # followed by another
+    def test_a_seed_is_polished_once(self, small_window, monkeypatch):
+        # the polish gains far more than f_tol and ends converged, and still
+        # no second polish follows
         starts = []
 
         def polish(objective, system, start, *args):
             starts.append(start.value)
             return start._replace(value=start.value - 1.0, evaluations=1,
-                                  converged=converged)
+                                  converged=True)
 
         monkeypatch.setattr(fitter, "_polish", polish)
-        settings = SearchSettings(x_tol_rel=1e-4, f_tol_rel=1e-7, max_evals=1500,
-                                  restarts=3, stall_evals=250)
-        x_tol, f_tol = _fit_tolerances(small_window, LIGHT_BOUNDS, settings)
+        x_tol, f_tol = _fit_tolerances(small_window, LIGHT_BOUNDS, LIGHT)
         outcome, _ = fitter._search_from_seed(
             window_objective(small_window), np.array([1.0, 10.0, 130.5]),
-            x_tol, f_tol, settings, None, False)
-        assert len(starts) == passes
-        assert outcome.value == starts[0] - passes
+            x_tol, f_tol, LIGHT, None, False)
+        assert len(starts) == 1
+        assert outcome.value == starts[0] - 1.0
 
     @pytest.mark.parametrize("flagged", ["second", "every"])
     def test_a_fit_at_the_edge_is_reported_only_if_no_other_is_kept(
@@ -802,11 +803,22 @@ class TestPolish:
         assert fits[0].params.t2c == pytest.approx(130.5, abs=1e-5)
 
     def test_a_floored_search_keeps_no_fit_below_the_floor(self, monkeypatch):
-        # chain bubble 1 keeps fits at beta ~ 2e-6 when unfloored; floored,
-        # its polish walks along the floor, which cost 3,973 calls with
-        # simplex restarts (2,165 calls and 169 builds since); a step
+        # chain bubble 1 has seeds that end at beta ~ 2e-6 when unfloored;
+        # floored, its polish walks along the floor, which cost 3,973 calls
+        # with simplex restarts (2,165 calls and 169 builds since); a step
         # merely clipped at the floor took 38,745 calls and 18,378 builds
-        assert min(f.params.beta for f in chain_fits(1)) < fitter.BETA_FLOOR
+        ends = []
+        search_from_seed = fitter._search_from_seed
+
+        def recording(*args):
+            outcome = search_from_seed(*args)
+            ends.append(outcome[0].x[0])
+            return outcome
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fitter, "_search_from_seed", recording)
+            recursive_seed_search(chain_window(1), COARSE_BOUNDS)
+        assert min(ends) < fitter.BETA_FLOOR
         calls = counting_objective_calls(monkeypatch)
         builds = counting_system_builds(monkeypatch)
         fits = recursive_seed_search(chain_window(1), COARSE_BOUNDS,
@@ -840,21 +852,40 @@ class TestPolish:
         assert outcome.x[2] - 1.0 <= x_tol[2]
         assert at_edge
 
-    @pytest.mark.parametrize("system_minimum, edge", [
-        ((-1.0, 10.0, 130.5), True),
-        ((0.005, 10.0, 130.5), False),
-    ], ids=["system_past_zero", "exact_system"])
+    @pytest.mark.parametrize("simplex_evals, system_minima, edge", [
+        (None, [(-1.0, 10.0, 130.5)], True),
+        (None, [(0.005, 10.0, 130.5)], False),
+        (60, [(0.005, 10.0, 130.5), (-1.0, 10.0, 130.5)], True),
+    ], ids=["system_past_zero", "exact_system", "step_then_past_zero"])
     def test_a_seed_below_the_floor_is_at_the_edge_if_it_cannot_step(
-            self, small_window, system_minimum, edge):
+            self, small_window, monkeypatch, simplex_evals, system_minima, edge):
         # the value's minimum lies at beta 0.005; a system pointing below
         # beta = 0, as the rounding in the beta -> 0 valley gives, lets the
-        # polish take no step, and the exact system lets it take one
+        # polish take no step, and the exact system lets it take one. In the
+        # third case the simplex stops after 60 calls, away from the minimum;
+        # the polish steps to it on the exact system, then can take no step
+        # on the next system, which points below beta = 0
+        if simplex_evals is not None:
+            simplex = fitter.nelder_mead
+            monkeypatch.setattr(fitter, "nelder_mead", lambda *args, **kwargs:
+                                simplex(*args, **{**kwargs, "max_evals": simplex_evals}))
+        builds = []
+
+        def system(*theta):
+            builds.append(theta)
+            minimum = system_minima[min(len(builds), len(system_minima)) - 1]
+            return bowl_system(np.array(minimum))(*theta)
+
+        minimum = (0.005, 10.0, 130.5)
         x_tol, f_tol = _fit_tolerances(small_window, SearchBounds(), SearchSettings())
         outcome, at_edge = fitter._search_from_seed(
-            walled((0.005, 10.0, 130.5)), np.array([0.3, 10.0, 130.5]), x_tol,
-            f_tol, SearchSettings(), bowl_system(np.array(system_minimum)), False)
+            walled(minimum), np.array([0.3, 10.0, 130.5]), x_tol, f_tol,
+            SearchSettings(), system, False)
         assert outcome.x[0] < fitter.BETA_FLOOR
         assert at_edge is edge
+        if simplex_evals is not None:  # the polish took a step
+            assert len(builds) > 1
+            assert outcome.value < bowl(minimum)(builds[0])
 
     def test_an_inner_minimum_is_not_at_the_edge(self, small_window):
         minimum = np.array([0.5, 10.0, 130.5])

@@ -87,6 +87,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 3: unparseable date: '1970-13-05'"):
             load_csv(f, "date", "value")
 
+    @pytest.mark.parametrize("text", ["20050630", "2005-W26-4"])
+    def test_other_iso_forms_name_the_row(self, tmp_path, text):
+        f = tmp_path / "iso.csv"
+        write_rows(f, ["2005-06-29,150.0", f"{text},151.0"])
+        with pytest.raises(DataError, match=f"row 3: unparseable date: '{text}'"):
+            load_csv(f, "date", "value")
+
     def test_duplicate_date_is_data_error(self, tmp_path):
         f = tmp_path / "dup.csv"
         write_rows(f, ["1970-01-02,150.0", "1970-01-02,151.0"])
@@ -135,6 +142,13 @@ class TestOutputEncoding:
 def test_parse_date_rejects_garbage():
     with pytest.raises(DataError):
         parse_date("12/31/1999")
+
+
+@pytest.mark.parametrize("text", ["20050630", "2005-W26-4"])
+def test_parse_date_takes_only_the_dashed_iso_form(text):
+    # from Python 3.11 date.fromisoformat reads both; 3.10 rejects them
+    with pytest.raises(DataError, match="unparseable date"):
+        parse_date(text)
 
 
 class TestPriceSeries:
