@@ -50,6 +50,7 @@ from .series import (
     descriptive_stats,
     load_csv,
     log_returns,
+    open_input,
     parse_date,
     to_json_data,
     write_csv,
@@ -206,7 +207,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _write_json(obj, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -230,7 +231,7 @@ def sniff_columns(path, date_column: str | None = None,
                   value_column: str | None = None) -> tuple[str, str]:
     """Resolve the date/value column names from explicit choices, common
     header names, or finally column position."""
-    with open(path, newline="") as fh:
+    with open_input(path, DataError) as fh:
         header = next(csv.reader(fh), None)
     if not header or len(header) < 2:
         raise ConfigError(f"{path}: need a header row with at least two columns")
@@ -351,7 +352,7 @@ def cmd_scan(config: RunConfig) -> int:
 
 def _generator_spec_from_json(config: RunConfig) -> GeneratorSpec:
     try:
-        with open(config.input) as fh:
+        with open_input(config.input, ConfigError) as fh:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{config.input}: invalid generator spec JSON: {exc}") from exc

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, UsageError, WindowRejection
-from .series import PriceSeries, Scale, parse_date, to_log
+from .series import PriceSeries, Scale, open_input, parse_date, to_log
 
 
 @dataclass(frozen=True)
@@ -197,12 +197,12 @@ def make_bubble_window(series: PriceSeries, start: dt.date, peak: dt.date,
 def load_overrides(path) -> dict[dt.date, dt.date]:
     """Read a (peak_date, bubble_start_date) CSV of explicit bubble starts.
 
-    Raises ConfigError when a column is missing, and DataError for a
-    duplicate peak or, naming the row, for a missing cell or an
-    unparseable date.
+    Raises ConfigError when a column is missing, and DataError for a file
+    that is not UTF-8, for a duplicate peak or, naming the row, for a
+    missing cell or an unparseable date.
     """
     overrides: dict[dt.date, dt.date] = {}
-    with open(path, newline="") as fh:
+    with open_input(path, DataError) as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for col in ("peak_date", "bubble_start_date"):

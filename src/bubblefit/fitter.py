@@ -15,8 +15,10 @@ stops it, at a point set by that rule and not by the data. A seed is
 also stopped, with no solution, once its best point comes within
 DEDUP_TOL of the point an earlier seed ended at in (beta, |omega|, t2c):
 it would end on the same fit. Either way its box is then cut at that
-point. Every point the simplex and the polish try goes through one
-objective, which applies both rules. A seed whose polish ends not
+point. A seed whose search stops gaining, as in a valley with no finite
+minimizer, is abandoned too (see `SearchSettings`), its box cut at its
+lowest point. Every point the simplex and the polish try goes through
+one objective, which applies all three. A seed whose polish ends not
 converged at the edge of the domain (below BETA_FLOOR, in the beta -> 0
 valley, or on the t2c = 1 day bound) ends at a point set by that edge
 and not by the data: its box is cut there and later seeds stop there as
@@ -141,20 +143,20 @@ class SearchBounds:
 class SearchSettings:
     """Search tolerances; x_tol_rel is scaled by each seed-bound width and
     f_tol_rel by the window's value spread. `stall_evals` abandons a seed
-    whose best value stops improving for that many evaluations.
-    `restarts` 1 polishes the best point of each seed's simplex with one
-    Gauss-Newton (Levenberg-Marquardt) run, and 0 polishes none. A system
-    build counts against `max_evals` as one evaluation."""
+    whose search (simplex and polish) makes that many objective calls
+    without getting more than f_tol below its last such gain. `restarts` 1
+    polishes the best point of each seed's simplex with one Gauss-Newton
+    (Levenberg-Marquardt) run, and 0 polishes none. A system build counts
+    against `max_evals` as one evaluation, but is no objective call."""
 
     x_tol_rel: float = 1e-6
     f_tol_rel: float = 1e-8
     max_evals: int = 20000
     restarts: int = 1
-    stall_evals: int | None = 800
+    stall_evals: int = 800
 
     def __post_init__(self):
-        # a NaN or negative tolerance never converges, so every simplex
-        # would end at the stall limit and no polish would end converged
+        # no simplex or polish would converge with a NaN or negative tolerance
         for name in ("x_tol_rel", "f_tol_rel"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
@@ -164,8 +166,7 @@ class SearchSettings:
         for name, least, most in (("max_evals", 1, math.inf), ("restarts", 0, 1),
                                   ("stall_evals", 1, math.inf)):
             value = getattr(self, name)
-            if not (type(value) is int and least <= value <= most
-                    or name == "stall_evals" and value is None):
+            if not (type(value) is int and least <= value <= most):
                 raise UsageError(f"{name} must be an integer in [{least}, {most}] "
                                  f"(got {value!r})")
 
@@ -198,19 +199,14 @@ class NelderMeadResult(NamedTuple):
 
 
 def nelder_mead(objective: Callable, seed, *, x_tol=1e-6, f_tol=1e-8,
-                max_evals: int = 20000, stall_evals: int | None = None):
+                max_evals: int = 20000):
     """Minimize with the reflection/expansion/contraction/shrink simplex.
 
     Terminates when the simplex diameter is within `x_tol` (scalar or
     per-dimension) on every coordinate AND the vertex value spread is
-    within `f_tol`; hitting `max_evals` instead returns converged=False.
-    The objective receives each point as a list of floats and may return
-    +inf (or NaN, taken as +inf) anywhere except at the seed.
-
-    `stall_evals`, when set, gives up (flagged unconverged) once the best
-    value has not improved by more than `f_tol` within that many
-    evaluations; it cuts off simplexes chasing an asymptotic valley with
-    no finite minimizer.
+    within `f_tol`; otherwise it runs until `max_evals` and returns
+    converged=False. The objective receives each point as a list of floats
+    and may return +inf (or NaN, taken as +inf) anywhere except at the seed.
 
     A 2-D `seed` is a stack of seeds, one row per simplex, and the
     simplexes advance in lockstep: each round calls the objective once
@@ -230,14 +226,12 @@ def nelder_mead(objective: Callable, seed, *, x_tol=1e-6, f_tol=1e-8,
     """
     seeds = np.asarray(seed, dtype=float)
     if seeds.ndim == 2:
-        return _lockstep_arrays(objective, seeds, x_tol, f_tol, max_evals,
-                                stall_evals)
-    return _simplex(objective, seeds.ravel().tolist(), x_tol, f_tol, max_evals,
-                    stall_evals)
+        return _lockstep_arrays(objective, seeds, x_tol, f_tol, max_evals)
+    return _simplex(objective, seeds.ravel().tolist(), x_tol, f_tol, max_evals)
 
 
-def _lockstep_arrays(objective, seeds, x_tol, f_tol, max_evals,
-                     stall_evals) -> list[NelderMeadResult | None]:
+def _lockstep_arrays(objective, seeds, x_tol, f_tol,
+                     max_evals) -> list[NelderMeadResult | None]:
     """`nelder_mead` over a stack of seeds, every simplex held in arrays:
     sim[j] holds vertex j of every simplex and fsim[j] its value, one
     column per seed.
@@ -311,8 +305,8 @@ def _lockstep_arrays(objective, seeds, x_tol, f_tol, max_evals,
                 phase[filling] += 1
                 done[filling[vertex == ndim]] = True
 
-            # the top of an iteration: sort, then check the budget, the
-            # convergence and the stall
+            # the top of an iteration: sort, then check the budget and the
+            # convergence
             order = np.argsort(np.where(done, fsim, vertices), axis=0,
                                kind="stable")
             index = order * k + column
@@ -326,17 +320,7 @@ def _lockstep_arrays(objective, seeds, x_tol, f_tol, max_evals,
                 if close.size:
                     converged[close] = (np.abs(sim[1:, close] - sim[0, close])
                                         <= x_tol).all(axis=(0, 2))
-                stop = converged.copy()
-                # a simplex stalls once past its deadline without getting
-                # below its bar; every simplex's start vertices are in at
-                # round ndim + 1, its first mark
-                if stall_evals is not None and evals > ndim:
-                    if evals == ndim + 1:
-                        bar, deadline = fsim[0] - f_tol, evals + stall_evals
-                    improved = done & (fsim[0] < bar)
-                    stop |= done & ~improved & (evals > deadline)
-                    bar = np.where(improved, fsim[0] - f_tol, bar)
-                    deadline = np.where(improved, evals + stall_evals, deadline)
+                stop = converged
             phase = np.where(done, np.where(stop, _STOPPED, _REFLECT), phase)
             for i in np.flatnonzero(stop).tolist():
                 results[i] = NelderMeadResult(sim[0, i].copy(), float(fsim[0, i]),
@@ -356,8 +340,8 @@ def _lockstep_arrays(objective, seeds, x_tol, f_tol, max_evals,
     return results
 
 
-def _simplex(objective, seed: list, x_tol, f_tol, max_evals: int,
-             stall_evals: int | None) -> NelderMeadResult:
+def _simplex(objective, seed: list, x_tol, f_tol,
+             max_evals: int) -> NelderMeadResult:
     """`nelder_mead` from one seed, its simplex held as lists of floats."""
     ndim = len(seed)
     x_tol = np.broadcast_to(np.asarray(x_tol, dtype=float), (ndim,)).tolist()
@@ -382,7 +366,6 @@ def _simplex(objective, seed: list, x_tol, f_tol, max_evals: int,
     sim, fsim = [sim[j] for j in order], [fsim[j] for j in order]
 
     converged = False
-    mark_value, mark_evals = fsim[0], evals
     while evals < max_evals:
         best = sim[0]
         if fsim[-1] - fsim[0] <= f_tol and all(
@@ -390,11 +373,6 @@ def _simplex(objective, seed: list, x_tol, f_tol, max_evals: int,
                 for vertex in sim[1:] for x, b, tol in zip(vertex, best, x_tol)):
             converged = True
             break
-        if stall_evals is not None:
-            if fsim[0] < mark_value - f_tol:
-                mark_value, mark_evals = fsim[0], evals
-            elif evals - mark_evals > stall_evals:
-                break
         centroid = best
         for vertex in sim[1:-1]:
             centroid = [c + x for c, x in zip(centroid, vertex)]
@@ -476,9 +454,9 @@ def _boundary_warnings(beta: float, omega: float,
 
 
 class _SeedStopped(Exception):
-    """Raised by the search's objective, with the point and whether it is
-    past BETA_CEILING as its arguments, where a seed's search stops
-    without a fit."""
+    """Raised by the search's objective where a seed's search stops without
+    a fit, with the point its box is cut at and the reason it is counted
+    under (None at a kept fit) as arguments."""
 
 
 def _search_from_seed(objective, seed, x_tol, f_tol, settings: SearchSettings,
@@ -492,8 +470,7 @@ def _search_from_seed(objective, seed, x_tol, f_tol, settings: SearchSettings,
     collinear rule, where the kernel's rounding sets the last admissible
     values), so the point is set by the edge and not by the data."""
     best = nelder_mead(objective, seed, x_tol=x_tol, f_tol=f_tol,
-                       max_evals=settings.max_evals,
-                       stall_evals=settings.stall_evals)
+                       max_evals=settings.max_evals)
     remaining = settings.max_evals - best.evaluations
     if not settings.restarts or remaining <= 0:
         return best, False
@@ -632,10 +609,11 @@ def recursive_seed_search(
     DEDUP_TOL of the point an earlier seed ended at, compared in (beta,
     |omega|, t2c) (phi is solved at each point, and the phase-solved value
     is even in omega): that seed yields no fit and its box is cut there.
-    So no two results lie within DEDUP_TOL of each other. A seed that ends
-    at the edge of the domain (see `_search_from_seed`) is cut, and stops
-    later seeds, like any other, but its fit is reported only if no other
-    seed keeps one.
+    So no two results lie within DEDUP_TOL of each other. A seed that
+    stalls (see `SearchSettings.stall_evals`) yields no fit either, and its
+    box is cut at its lowest point. A seed that ends at the edge of the
+    domain (see `_search_from_seed`) is cut, and stops later seeds, like
+    any other, but its fit is reported only if no other seed keeps one.
     Results are canonicalized and sorted by RMSE ascending with
     lexicographic (beta, omega, t2c, phi) tie-breaking, so identical
     inputs always produce identical output.
@@ -644,36 +622,42 @@ def recursive_seed_search(
     evaluate to +inf, a seed below the floor starts at it, and a polish
     step that would cross it holds beta at the floor.
 
-    Raises DataError, naming the seeds searched and those abandoned past
-    BETA_CEILING, when the search keeps no fit.
+    Raises DataError, naming the seeds searched, those abandoned past
+    BETA_CEILING and those that stalled, when the search keeps no fit.
     """
     if len(window) < 10:
         raise UsageError("need at least 10 observations for a 7-parameter fit")
     base_objective = window_objective(window)
     solver = WindowSolver(window)
-    lowest = math.inf  # the lowest value of the running seed's search
+    x_tol, f_tol = _fit_tolerances(window, bounds, settings)
+    # the running seed's lowest value and its point, the value a call gains
+    # below (f_tol under the last gain) and the calls since the last gain
+    lowest, lowest_at, bar, idle = math.inf, None, math.inf, 0
     # (beta, |omega|, t2c) of each point a seed ended at so far
     found: list[tuple[float, float, float]] = []
     beta_tol, omega_tol, t2c_tol = DEDUP_TOL
 
     def objective(theta):
-        nonlocal lowest
-        if floor_beta and theta[0] < BETA_FLOOR:
-            return math.inf
-        value = base_objective(theta)
+        nonlocal lowest, lowest_at, bar, idle
+        value = (math.inf if floor_beta and theta[0] < BETA_FLOOR
+                 else base_objective(theta))
         if value < lowest:
             beta, omega, t2c = theta
             if beta > BETA_CEILING:
-                raise _SeedStopped(np.array(theta), True)
+                raise _SeedStopped(np.array(theta), "ceiling")
             omega = abs(omega)
             for b, w, t in found:
                 if (abs(beta - b) < beta_tol and abs(omega - w) < omega_tol
                         and abs(t2c - t) < t2c_tol):
-                    raise _SeedStopped(np.array(theta), False)
-            lowest = value
+                    raise _SeedStopped(np.array(theta), None)
+            lowest, lowest_at = value, theta
+        if value < bar:
+            bar, idle = value - f_tol, 0
+        else:
+            idle += 1
+            if idle >= settings.stall_evals:
+                raise _SeedStopped(np.array(lowest_at), "stall")
         return value
-
-    x_tol, f_tol = _fit_tolerances(window, bounds, settings)
 
     # the point each distinct seed's box is cut at, and the outcome of each
     # seed that was not stopped (those that ended at the edge of the domain
@@ -681,24 +665,24 @@ def recursive_seed_search(
     cuts: dict[tuple, np.ndarray] = {}
     solutions: dict[tuple, NelderMeadResult] = {}
     at_edge: dict[tuple, NelderMeadResult] = {}
-    past_ceiling = 0  # the seeds stopped past BETA_CEILING
+    abandoned = dict.fromkeys(("ceiling", "stall", None), 0)  # seeds, by reason
 
     def search(lo: np.ndarray, up: np.ndarray) -> None:
-        nonlocal lowest, past_ceiling
+        nonlocal lowest, lowest_at, bar, idle
         middle = (lo + up) / 2.0
         seed = middle.copy()
         if floor_beta:
             seed[0] = max(seed[0], BETA_FLOOR)
         key = tuple(seed)
         if key not in cuts:
-            lowest = math.inf
+            lowest, lowest_at, bar, idle = math.inf, seed, math.inf, 0
             try:
                 outcome, edge = _search_from_seed(objective, seed, x_tol, f_tol,
                                                   settings, solver.gauss_newton,
                                                   floor_beta)
             except _SeedStopped as stop:
-                cuts[key], past = stop.args
-                past_ceiling += past
+                cuts[key], reason = stop.args
+                abandoned[reason] += 1
             else:
                 (at_edge if edge else solutions)[key] = outcome
                 cuts[key] = outcome.x
@@ -741,7 +725,8 @@ def recursive_seed_search(
     entries.sort(key=lambda e: (e[0], e[1]))
     if not entries:
         raise DataError(f"the search kept no fit: {len(cuts)} seeds searched, "
-                        f"{past_ceiling} abandoned past beta {BETA_CEILING}")
+                        f"{abandoned['ceiling']} abandoned past beta "
+                        f"{BETA_CEILING}, {abandoned['stall']} stalled")
 
     return [
         _build_result(window, theta, linear, value, seed, evals, conv, ranges)

@@ -13,6 +13,7 @@ import datetime as dt
 import math
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 
@@ -134,19 +135,31 @@ class StatsReport:
     jb_p_value: float
 
 
+@contextmanager
+def open_input(path, error: type[Exception]):
+    """Open an input file as UTF-8, whatever the locale, dropping a leading
+    byte-order mark; a byte that is not UTF-8 raises `error` naming it."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def load_csv(path, date_column: str, value_column: str, name: str = "") -> PriceSeries:
     """Read a (date, value) CSV into a raw-scale PriceSeries.
 
     Rows are sorted by date, so shuffled files produce the same series.
     Weekend rows are dropped with a WeekendDataWarning carrying the count.
 
-    Raises ConfigError when a named column is missing, and DataError for
-    duplicate dates or, naming the row, for an empty field, an
-    unparseable date or value, or a value that is not finite and positive.
+    Raises ConfigError when a named column is missing, and DataError for a
+    file that is not UTF-8, for duplicate dates or, naming the row, for an
+    empty field, an unparseable date or value, or a value that is not
+    finite and positive.
     """
     rows: list[tuple[dt.date, float]] = []
     dropped = 0
-    with open(path, newline="") as fh:
+    with open_input(path, DataError) as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for col in (date_column, value_column):
@@ -215,7 +228,7 @@ def write_rows(path, header, rows) -> None:
     """Write a CSV: the header, then each row with a date as ISO-8601, a
     number as `repr(float(x))`, None as an empty cell and a string as it
     is, so a number reads back to the same float."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([_csv_cell(v) for v in row] for row in rows)

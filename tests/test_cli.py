@@ -230,7 +230,10 @@ class TestDetectCommand:
         for date in ("2005-08-01", "2005-08-24", "2006-11-14"):
             assert date in err
 
-    def test_min_bubble_rejection_is_reported(self, tmp_path):
+    # fit lists a rejected window in its index, with no fit and no error
+    @pytest.mark.parametrize("command, report", [
+        ("detect", "bubbles.json"), ("fit", "fit_index.json")])
+    def test_min_bubble_rejection_is_reported(self, command, report, tmp_path):
         decline = np.linspace(400, 100, 300)
         rise = np.linspace(102, 450, 80)
         fall = np.linspace(430, 300, 6)
@@ -238,12 +241,15 @@ class TestDetectCommand:
         path = tmp_path / "short.csv"
         write_csv(series, path)
         out = tmp_path / "out"
-        assert run("--input", str(path), "--command", "detect",
+        assert run("--input", str(path), "--command", command,
                    "--out", str(out)) == 0
-        bubbles = json.loads((out / "bubbles.json").read_text())
+        bubbles = json.loads((out / report).read_text())
         assert len(bubbles) == 1
         assert not bubbles[0]["accepted"]
         assert "131" in bubbles[0]["rejection_reason"]
+        if command == "fit":
+            assert bubbles[0]["fit"] is None
+            assert "fit_error" not in bubbles[0]
 
 
 class TestFitCommand:
@@ -325,7 +331,7 @@ class TestFitCommand:
         for entry in index:
             assert entry["fit"] is None
             assert re.fullmatch(r"DataError: the search kept no fit: (\d+) seeds "
-                                r"searched, \1 abandoned past beta 0\.0",
+                                r"searched, \1 abandoned past beta 0\.0, 0 stalled",
                                 entry["fit_error"])
         assert (out / "manifest.json").exists()
         assert "Traceback" not in capsys.readouterr().err
@@ -465,6 +471,50 @@ class TestErrorHandling:
         code = run("--input", str(path), "--command", "stats",
                    "--out", str(tmp_path))
         assert code == 2
+
+    # a byte that is not UTF-8 fails the file it is in, whatever the locale:
+    # the input CSV and the overrides file with exit 2, the spec with exit 1
+    @pytest.mark.parametrize("command, bad, code", [
+        ("stats", "input", 2),
+        ("detect", "overrides", 2),
+        ("generate", "input", 1),
+    ], ids=["csv", "overrides", "spec"])
+    def test_a_byte_that_is_not_utf8_names_the_file(
+            self, command, bad, code, crash_csv, tmp_path, capsys):
+        path = tmp_path / "bad"
+        text = (json.dumps(GEN_SPEC) if command == "generate" else
+                "peak_date,bubble_start_date\n2005-06-30,2005-01-03\n"
+                if bad == "overrides" else crash_csv.read_text())
+        # the 0xff sits in the last line, past the first block a reader decodes
+        path.write_bytes(text[:-2].encode() + b"\xff" + text[-2:].encode())
+        files = {"input": crash_csv, bad: path}
+        argv = ["--input", str(files["input"]), "--command", command,
+                "--out", str(tmp_path / "out")]
+        if bad == "overrides":
+            argv += ["--overrides", str(path)]
+        assert run(*argv) == code
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text (invalid start byte)\n")
+
+    def test_a_csv_with_a_byte_order_mark_reads_its_first_column(
+            self, crash_csv, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + crash_csv.read_bytes())
+        for name, source in (("bom", path), ("plain", crash_csv)):
+            assert run("--input", str(source), "--command", "stats",
+                       "--date-column", "date", "--value-column", "value",
+                       "--out", str(tmp_path / name)) == 0
+        assert ((tmp_path / "bom" / "stats.json").read_bytes()
+                == (tmp_path / "plain" / "stats.json").read_bytes())
+
+    def test_a_spec_with_a_byte_order_mark_generates(self, tmp_path):
+        for name, bom in (("bom", "\ufeff"), ("plain", "")):
+            spec_path = tmp_path / f"{name}.json"
+            spec_path.write_text(bom + json.dumps(GEN_SPEC), encoding="utf-8")
+            assert run("--input", str(spec_path), "--command", "generate",
+                       "--out", str(tmp_path / name)) == 0
+        assert ((tmp_path / "bom" / "synthetic.csv").read_bytes()
+                == (tmp_path / "plain" / "synthetic.csv").read_bytes())
 
 
 class TestManifest:

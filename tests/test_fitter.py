@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import functools
 import math
@@ -32,6 +33,7 @@ from conftest import (
     NOISY_PARAMS,
     NOISY_SETTINGS,
     canonical_params,
+    series_from_values,
     window_of,
 )
 from search_oracle import grid_oracle
@@ -92,17 +94,6 @@ class TestNelderMead:
         result = nelder_mead(objective, np.array([0.5]))
         assert abs(result.x[0]) < 1e-5
 
-    def test_stall_cutoff_limits_evaluations(self):
-        # a valley descending toward infinity never converges; the stall
-        # guard should abandon it early
-        def drifting(x):
-            return 1.0 / (1.0 + abs(float(x[0])))
-
-        capped = nelder_mead(drifting, np.array([1.0]), x_tol=1e-12,
-                             f_tol=1e-15, max_evals=20000, stall_evals=100)
-        assert not capped.converged
-        assert capped.evaluations < 5000
-
     # The two pinned runs below record what the simplex returned when it
     # was held as numpy rows; the list-of-floats simplex must take the
     # same steps, so evaluations, x and value match exactly.
@@ -122,7 +113,7 @@ class TestNelderMead:
             return (x[0] - 2.0) ** 2 + 3.0 * (x[1] - 1.0) ** 2
 
         result = nelder_mead(half_plane, [-1.0, -1.0], x_tol=1e-15,
-                             f_tol=1e-12, stall_evals=40)
+                             f_tol=1e-12, max_evals=530)
         assert result.evaluations == 530
         assert not result.converged
         assert isinstance(result.x, np.ndarray)
@@ -138,9 +129,7 @@ class TestNelderMead:
         for name, budget, stop in (
             ("converging", dict(x_tol=1e-8, f_tol=1e-14), "converged"),
             ("capped", dict(x_tol=[1e-6, 1e-3, 1e-6], f_tol=1e-10,
-                            max_evals=120, stall_evals=30), "capped"),
-            ("stalling", dict(x_tol=1e-8, f_tol=1e-3, max_evals=400,
-                              stall_evals=30), "stalled"))
+                            max_evals=120), "capped"))
     ])
     def test_stacked_seeds_match_single_seed_runs(self, budget, stop, ndim, size):
         def objective(x):
@@ -187,9 +176,9 @@ class TestNelderMead:
             assert (got.value, got.evaluations, got.converged) == (
                 alone.value, alone.evaluations, alone.converged)
             evals.append(alone.evaluations)
-            stops.add("converged" if alone.converged else
-                      "capped" if alone.evaluations >= budget.get("max_evals", 20000)
-                      else "stalled")
+            if not alone.converged:
+                assert alone.evaluations >= budget.get("max_evals", 20000)
+            stops.add("converged" if alone.converged else "capped")
         assert evals[3:6] == [1, 1, 1]
         assert stop in stops
         # one call per round, and a simplex's row is NaN once it has stopped
@@ -322,6 +311,7 @@ class TestRecursiveSeedSearch:
         ("restarts", -1),
         ("restarts", 2),
         ("stall_evals", 0),
+        ("stall_evals", None),
         # a bool is an int to isinstance; True would give one evaluation
         ("max_evals", True),
         ("restarts", True),
@@ -638,22 +628,35 @@ def walled(minimum):
     return objective
 
 
+def valley(theta):
+    """A valley with no finite minimizer: the value falls toward its
+    infimum, 0, as |omega| grows."""
+    beta, omega, t2c = theta
+    return (beta - 0.5) ** 2 + ((t2c - 100.0) / 100.0) ** 2 + 1.0 / (1.0 + abs(omega))
+
+
+def search_objective(monkeypatch, objective, system) -> None:
+    """Make the search's objective `objective`, in place of the window's
+    RMSE, and its Gauss-Newton system `system(*theta)`."""
+    monkeypatch.setattr(fitter, "window_objective", lambda window: objective)
+    monkeypatch.setattr(fitter.WindowSolver, "gauss_newton",
+                        lambda self, *theta: system(*theta))
+
+
 def bowl_objective(monkeypatch, beta: float, moved=None, seeds=()) -> None:
     """Make the search's objective a bowl with its minimum at (beta, 10,
-    130.5), in place of the window's RMSE, and its Gauss-Newton system the
-    bowl's; once `seeds` records a second seed, the minimum moves to
-    `moved`."""
+    130.5) and its Gauss-Newton system the bowl's; once `seeds` records a
+    second seed, the minimum moves to `moved`."""
     first = (beta, 10.0, 130.5)
     later = moved if moved is not None else first
 
     def objective(theta):
         return bowl(first if len(seeds) < 2 else later)(theta)
 
-    def system(self, *theta):
+    def system(*theta):
         return bowl_system(first if len(seeds) < 2 else later)(*theta)
 
-    monkeypatch.setattr(fitter, "window_objective", lambda window: objective)
-    monkeypatch.setattr(fitter.WindowSolver, "gauss_newton", system)
+    search_objective(monkeypatch, objective, system)
 
 
 def calls_by_seed(calls: list, seeds: list) -> list:
@@ -743,7 +746,7 @@ class TestBetaCeiling:
         assert calls == [list(seed) for seed in seeds]
         assert str(failure.value) == (
             f"the search kept no fit: {len(seeds)} seeds searched, "
-            f"{len(seeds)} abandoned past beta 2.0")
+            f"{len(seeds)} abandoned past beta 2.0, 0 stalled")
 
     @pytest.mark.parametrize("k", range(len(CHAIN)))
     def test_fits_below_beta_one_are_kept(self, k):
@@ -962,7 +965,89 @@ class TestStopAtAKeptFit:
         assert len(seeds) > 2
         assert str(failure.value) == (
             f"the search kept no fit: {len(seeds)} seeds searched, "
-            f"0 abandoned past beta 2.0")
+            f"0 abandoned past beta 2.0, 0 stalled")
+
+
+def idle_runs(calls: list, objective, f_tol: float) -> list:
+    """For each call, how many calls the search has made since its last
+    f_tol gain (0 at a gain): a value more than f_tol below the last gain."""
+    bar, idle, runs = math.inf, 0, []
+    for theta in calls:
+        value = objective(theta)
+        bar, idle = (value - f_tol, 0) if value < bar else (bar, idle + 1)
+        runs.append(idle)
+    return runs
+
+
+# one seed: each minimum width spans the seed box
+ONE_SEED = SearchBounds(min_width_beta=2.0, min_width_omega=20.0)
+
+
+class TestStall:
+    def test_a_valley_seed_is_abandoned(self, small_window, monkeypatch):
+        # the simplex slides down the valley in omega and never converges;
+        # stall_evals calls after its last f_tol gain the seed is abandoned
+        search_objective(monkeypatch, valley, lambda *theta: None)
+        calls = counting_objective_calls(monkeypatch)
+        settings = dataclasses.replace(LIGHT, stall_evals=100)
+        with pytest.raises(DataError) as failure:
+            recursive_seed_search(small_window, bounds=ONE_SEED, settings=settings)
+        _, f_tol = _fit_tolerances(small_window, ONE_SEED, settings)
+        runs = idle_runs(calls, valley, f_tol)
+        assert max(runs) == runs[-1] == settings.stall_evals
+        assert str(failure.value) == ("the search kept no fit: 1 seeds searched, "
+                                      "0 abandoned past beta 2.0, 1 stalled")
+
+    def test_a_stalled_box_is_cut_at_its_lowest_point(self, small_window,
+                                                      monkeypatch):
+        # the first seed, at beta 0.6, stalls in the valley; the next is the
+        # midpoint of the box below its lowest point (near beta 0.5) on
+        # beta. It searches a bowl, whose values all lie above the valley's,
+        # in more than stall_evals calls, and keeps the bowl's minimum
+        seeds = recording_seeds(monkeypatch)
+        minimum = (0.2, 10.0, 130.5)
+
+        def objective(theta):
+            return valley(theta) if len(seeds) < 2 else bowl(minimum)(theta)
+
+        search_objective(monkeypatch, objective, bowl_system(np.array(minimum)))
+        calls = counting_objective_calls(monkeypatch)
+        settings = dataclasses.replace(LIGHT, stall_evals=40)
+        bounds = dataclasses.replace(BETA_LINE, upper=(1.2, 20.0, 260.0))
+        fits = recursive_seed_search(small_window, bounds=bounds,
+                                     settings=settings)
+        stalled, bowl_run = calls_by_seed(calls, seeds)[:2]
+        lowest = min(stalled, key=valley)
+        assert seeds[:2] == [(0.6, 10.0, 130.5), (lowest[0] / 2.0, 10.0, 130.5)]
+        assert len(bowl_run) > settings.stall_evals
+        assert [f.seed_used for f in fits] == [seeds[1]]
+        assert fits[0].params.theta()[:3] == pytest.approx(minimum, rel=1e-6)
+
+    def test_polish_calls_count_toward_the_stall(self, small_window, monkeypatch):
+        # the system points at a far-off minimum, so the polish refuses
+        # every step; its calls lengthen the simplex's last run without an
+        # f_tol gain past the longest run within the simplex
+        minimum = (0.5, 10.0, 130.5)
+        search_objective(monkeypatch, bowl(minimum),
+                         bowl_system(np.array([100.0, 1000.0, 20000.0])))
+        calls = counting_objective_calls(monkeypatch)
+        polished_from = []
+        polish = fitter._polish
+
+        def recording(*args):
+            polished_from.append(len(calls))
+            return polish(*args)
+
+        monkeypatch.setattr(fitter, "_polish", recording)
+        [fit] = recursive_seed_search(small_window, bounds=ONE_SEED, settings=LIGHT)
+        _, f_tol = _fit_tolerances(small_window, ONE_SEED, LIGHT)
+        runs = idle_runs(calls, bowl(minimum), f_tol)
+        [start] = polished_from
+        limit = max(runs[:start]) + 1
+        assert runs[-1] >= limit
+        with pytest.raises(DataError, match=", 1 stalled$"):
+            recursive_seed_search(small_window, bounds=ONE_SEED,
+                                  settings=dataclasses.replace(LIGHT, stall_evals=limit))
 
 
 @pytest.fixture(scope="module")
@@ -980,6 +1065,15 @@ def steep_window():
     series = generate(GeneratorSpec(params, n_weekdays=150, noise_sigma=0.0,
                                     rng_seed=3))
     return window_of(series)
+
+
+@pytest.fixture(scope="module")
+def log_window():
+    """Noise-free 300-weekday window rising as 1000 - 50 ln(1 + age), with
+    age in days to its end: the beta -> 0 limit of the power law."""
+    start = series_from_values(np.ones(300)).dates
+    ages = np.array([(start[-1] - d).days for d in start], dtype=float)
+    return window_of(series_from_values(1000.0 - 50.0 * np.log1p(ages)))
 
 
 @pytest.fixture(scope="module")
@@ -1033,6 +1127,30 @@ class TestFitBubble:
             payload["fits"][0]["diagnostics"])
         assert payload["validity_ratio"] == small_report.validity_ratio
         assert payload["raw_fit_valid"] is True
+
+    def test_a_fit_below_the_floor_adds_the_floored_best(self, log_window):
+        # the window's best fit lies in the beta -> 0 valley, below the floor
+        report = fit_bubble(log_window, bounds=COARSE_BOUNDS, settings=LIGHT)
+        floored = recursive_seed_search(log_window, COARSE_BOUNDS, settings=LIGHT,
+                                        floor_beta=True)
+        assert report.best.params.beta < fitter.BETA_FLOOR
+        assert report.constrained_best == floored[0]
+        assert report.constrained_best.params.beta >= fitter.BETA_FLOOR
+        assert report.to_dict()["constrained_best"] == floored[0].to_dict()
+
+    def test_a_floored_search_that_keeps_no_fit_adds_none(self, log_window,
+                                                          monkeypatch):
+        search = fitter.recursive_seed_search
+
+        def unfloored_only(*args, floor_beta=False):
+            if floor_beta:
+                raise DataError("the search kept no fit")
+            return search(*args, floor_beta=floor_beta)
+
+        monkeypatch.setattr(fitter, "recursive_seed_search", unfloored_only)
+        report = fit_bubble(log_window, bounds=COARSE_BOUNDS, settings=LIGHT)
+        assert report.best.params.beta < fitter.BETA_FLOOR
+        assert report.constrained_best is None
 
     def test_rejects_log_scale_window(self, steep_window):
         with pytest.raises(UsageError):
