@@ -13,7 +13,6 @@ the other windows are still fitted and written; the run then exits 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -56,9 +55,6 @@ from .series import (
     write_csv,
 )
 from .synthetic import GeneratorSpec, generate
-
-_DATE_COLUMN_GUESSES = ("date", "day")
-_VALUE_COLUMN_GUESSES = ("value", "close", "price", "index", "adj close")
 
 # the parameters of SearchBounds.lower and .upper, in their order
 _BOUNDED = ("beta", "omega", "t2c")
@@ -227,48 +223,14 @@ def _write_manifest(config: RunConfig) -> None:
     _write_json(manifest, os.path.join(config.out, "manifest.json"))
 
 
-def sniff_columns(path, date_column: str | None = None,
-                  value_column: str | None = None) -> tuple[str, str]:
-    """Resolve the date/value column names from explicit choices, common
-    header names, or finally column position."""
-    with open_input(path, DataError) as fh:
-        header = next(csv.reader(fh), None)
-    if not header or len(header) < 2:
-        raise ConfigError(f"{path}: need a header row with at least two columns")
-    lowered = {name.strip().lower(): name for name in header}
-
-    def pick(explicit, guesses, fallback_idx, kind):
-        if explicit:
-            if explicit not in header:
-                raise ConfigError(f"column {explicit!r} not found (header: {header})")
-            return explicit
-        for guess in guesses:
-            if guess in lowered:
-                return lowered[guess]
-        chosen = header[fallback_idx]
-        print(f"note: using column {chosen!r} as the {kind} column",
-              file=sys.stderr)
-        return chosen
-
-    date_col = pick(date_column, _DATE_COLUMN_GUESSES, 0, "date")
-    value_col = pick(value_column, _VALUE_COLUMN_GUESSES, 1, "value")
-    return date_col, value_col
-
-
-def _load_series(config: RunConfig):
-    date_col, value_col = sniff_columns(config.input, config.date_column,
-                                        config.value_column)
-    return load_csv(config.input, date_col, value_col)
-
-
 def cmd_stats(config: RunConfig) -> None:
-    series = _load_series(config)
+    series = load_csv(config.input, config.date_column, config.value_column)
     report = descriptive_stats(log_returns(series))
     _write_json(to_json_data(report), os.path.join(config.out, "stats.json"))
 
 
 def _detect(config: RunConfig):
-    series = _load_series(config)
+    series = load_csv(config.input, config.date_column, config.value_column)
     events = find_crash_peaks(series, config.crash_config)
     overrides = load_overrides(config.overrides) if config.overrides else {}
     decisions = bubble_windows_for_events(series, events, config.crash_config,

@@ -13,14 +13,13 @@ arithmetic.
 from __future__ import annotations
 
 import bisect
-import csv
 import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError, UsageError, WindowRejection
-from .series import PriceSeries, Scale, open_input, parse_date, to_log
+from .series import PriceSeries, Scale, parse_date, read_rows, to_log
 
 
 @dataclass(frozen=True)
@@ -198,27 +197,19 @@ def load_overrides(path) -> dict[dt.date, dt.date]:
     """Read a (peak_date, bubble_start_date) CSV of explicit bubble starts.
 
     Raises ConfigError when a column is missing, and DataError for a file
-    that is not UTF-8, for a duplicate peak or, naming the row, for a
-    missing cell or an unparseable date.
+    that is not UTF-8, for a duplicate peak or, naming the row's line, for
+    an empty field or an unparseable date.
     """
     overrides: dict[dt.date, dt.date] = {}
-    with open_input(path, DataError) as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in ("peak_date", "bubble_start_date"):
-            if col not in header:
-                raise ConfigError(f"override file missing column {col!r}")
-        for lineno, row in enumerate(reader, start=2):
-            cells = (row["peak_date"], row["bubble_start_date"])
-            if None in cells:
-                raise DataError(f"row {lineno}: empty field")
-            try:
-                peak, start = map(parse_date, cells)
-            except DataError as exc:
-                raise DataError(f"row {lineno}: {exc}") from exc
-            if peak in overrides:
-                raise DataError(f"duplicate override for peak {peak.isoformat()}")
-            overrides[peak] = start
+    rows = read_rows(path, lambda header: ("peak_date", "bubble_start_date"))
+    for lineno, cells in rows:
+        try:
+            peak, start = map(parse_date, cells)
+        except DataError as exc:
+            raise DataError(f"row {lineno}: {exc}") from exc
+        if peak in overrides:
+            raise DataError(f"duplicate override for peak {peak.isoformat()}")
+        overrides[peak] = start
     return overrides
 
 

@@ -12,6 +12,7 @@ import csv
 import datetime as dt
 import math
 import re
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
@@ -146,45 +147,88 @@ def open_input(path, error: type[Exception]):
             raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def load_csv(path, date_column: str, value_column: str, name: str = "") -> PriceSeries:
+def read_rows(path, columns):
+    """Yield (line number, cells) for each data row of a CSV, read through
+    `open_input`.
+
+    `columns(header)` returns the names of the columns to read; a name
+    missing from the header raises ConfigError, and a name the header
+    holds twice reads its first column. Blank lines are skipped but still
+    counted, so the number is the row's physical line. Cells are stripped,
+    and a missing or empty one raises DataError naming the line.
+    """
+    with open_input(path, DataError) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        names = columns(header)
+        for name in names:
+            if name not in header:
+                raise ConfigError(f"column {name!r} not found (header: {header})")
+        picks = [header.index(name) for name in names]
+        for row in reader:
+            if not row:
+                continue
+            cells = [row[i].strip() if i < len(row) else "" for i in picks]
+            if not all(cells):
+                raise DataError(f"row {reader.line_num}: empty field")
+            yield reader.line_num, cells
+
+
+def _pick_column(header, named, guesses, position, kind) -> str:
+    if named:
+        return named
+    lowered = [cell.strip().lower() for cell in header]
+    for guess in guesses:
+        if guess in lowered:
+            return header[lowered.index(guess)]
+    print(f"note: using column {header[position]!r} as the {kind} column",
+          file=sys.stderr)
+    return header[position]
+
+
+def load_csv(path, date_column: str | None = None,
+             value_column: str | None = None, name: str = "") -> PriceSeries:
     """Read a (date, value) CSV into a raw-scale PriceSeries.
 
+    Each column is the one the caller names. Otherwise it is the first
+    column whose name, stripped and in any case, is the first of a list of
+    guesses that the header holds: `date`, `day` for the date and `value`,
+    `close`, `price`, `index`, `adj close` for the value. Otherwise it is
+    the first (date) or second (value) column, with a note on stderr.
     Rows are sorted by date, so shuffled files produce the same series.
     Weekend rows are dropped with a WeekendDataWarning carrying the count.
 
-    Raises ConfigError when a named column is missing, and DataError for a
-    file that is not UTF-8, for duplicate dates or, naming the row, for an
-    empty field, an unparseable date or value, or a value that is not
-    finite and positive.
+    Raises ConfigError for a header of fewer than two columns or without
+    a named column, and DataError for a file that is not UTF-8, for
+    duplicate dates or, naming the row's line, for an empty field, an
+    unparseable date or value, or a value that is not finite and positive.
     """
+    def columns(header):
+        if len(header) < 2:
+            raise ConfigError(f"{path}: need a header row with at least two columns")
+        return (_pick_column(header, date_column, ("date", "day"), 0, "date"),
+                _pick_column(header, value_column,
+                             ("value", "close", "price", "index", "adj close"),
+                             1, "value"))
+
     rows: list[tuple[dt.date, float]] = []
     dropped = 0
-    with open_input(path, DataError) as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in (date_column, value_column):
-            if col not in header:
-                raise ConfigError(f"column {col!r} not found (header: {header})")
-        for lineno, row in enumerate(reader, start=2):
-            raw_date = row[date_column]
-            raw_value = row[value_column]
-            if raw_date is None or raw_value is None or not str(raw_value).strip():
-                raise DataError(f"row {lineno}: empty field")
-            try:
-                d = parse_date(raw_date)
-            except DataError as exc:
-                raise DataError(f"row {lineno}: {exc}") from exc
-            try:
-                v = float(raw_value)
-            except ValueError as exc:
-                raise DataError(f"row {lineno}: unparseable value {raw_value!r}") from exc
-            if not math.isfinite(v) or v <= 0:
-                problem = "non-positive" if math.isfinite(v) else "non-finite"
-                raise DataError(f"row {lineno} ({d.isoformat()}): {problem} value {v}")
-            if not is_weekday(d):
-                dropped += 1
-                continue
-            rows.append((d, v))
+    for lineno, (raw_date, raw_value) in read_rows(path, columns):
+        try:
+            d = parse_date(raw_date)
+        except DataError as exc:
+            raise DataError(f"row {lineno}: {exc}") from exc
+        try:
+            v = float(raw_value)
+        except ValueError as exc:
+            raise DataError(f"row {lineno}: unparseable value {raw_value!r}") from exc
+        if not math.isfinite(v) or v <= 0:
+            problem = "non-positive" if math.isfinite(v) else "non-finite"
+            raise DataError(f"row {lineno} ({d.isoformat()}): {problem} value {v}")
+        if not is_weekday(d):
+            dropped += 1
+            continue
+        rows.append((d, v))
     rows.sort(key=lambda r: r[0])
     for (d1, _), (d2, _) in zip(rows, rows[1:]):
         if d1 == d2:

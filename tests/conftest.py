@@ -10,7 +10,6 @@ from bubblefit import (
     LpplParams,
     PriceSeries,
     Scale,
-    SearchSettings,
     generate,
     recursive_seed_search,
 )
@@ -28,10 +27,8 @@ def canonical_params(scale=Scale.RAW, **overrides) -> LpplParams:
     return LpplParams(**fields, anchor_date=ANCHOR, scale=scale)
 
 
-# criterion 7b's noisy bubble (noise 1 % of a) and its reduced search settings
+# criterion 7b's noisy bubble (noise 1 % of a)
 NOISY_PARAMS = canonical_params(b=-90.0, c=0.2)
-NOISY_SETTINGS = SearchSettings(x_tol_rel=1e-3, f_tol_rel=1e-6,
-                                max_evals=1200, restarts=0, stall_evals=200)
 
 
 def series_from_values(values, start=dt.date(2000, 1, 3), scale=Scale.RAW,

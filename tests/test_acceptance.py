@@ -38,12 +38,12 @@ from bubblefit import (
     monotonicity_check,
     write_csv,
 )
-from bubblefit.cli import main, sniff_columns
+from bubblefit.cli import main
 from bubblefit.crashes import bubble_windows_for_events
 from bubblefit.lppl import window_objective
 from bubblefit.series import load_csv
 
-from conftest import NOISY_PARAMS, NOISY_SETTINGS, canonical_params, crash_series
+from conftest import NOISY_PARAMS, canonical_params, crash_series
 from test_series import brute_force_jarque_bera
 
 DATA_ENV = "HANG_SENG_CSV"
@@ -93,8 +93,7 @@ RECOVERY_PARAMS = canonical_params()
 @pytest.fixture(scope="module")
 def hang_seng() -> PriceSeries:
     path = os.environ[DATA_ENV]
-    date_col, value_col = sniff_columns(path)
-    series = load_csv(path, date_col, value_col, name="hang-seng")
+    series = load_csv(path, name="hang-seng")
     lo, hi = dt.date(1970, 1, 1), dt.date(2008, 12, 31)
     keep = [i for i, d in enumerate(series.dates) if lo <= d <= hi]
     return PriceSeries(tuple(series.dates[i] for i in keep),
@@ -206,7 +205,7 @@ def test_criterion7b_noisy_recovery_rate():
         window = BubbleWindow(series.dates[0], series.dates[-1], series)
         from bubblefit import recursive_seed_search
 
-        best = recursive_seed_search(window, settings=NOISY_SETTINGS)[0]
+        best = recursive_seed_search(window)[0]
         beta, omega, t2c, _ = best.params.theta()
         if (abs(beta - NOISY_PARAMS.beta) <= 0.05
                 and abs(omega - NOISY_PARAMS.omega) <= 0.2

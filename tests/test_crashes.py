@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from bubblefit import (
+    ConfigError,
     CrashConfig,
+    DataError,
     UsageError,
     WindowRejection,
     find_crash_peaks,
@@ -220,3 +222,17 @@ class TestPipeline:
         f.write_text("peak_date,bubble_start_date\n1994-01-04,19-Aug-1991\n")
         overrides = load_overrides(f)
         assert overrides == {dt.date(1994, 1, 4): dt.date(1991, 8, 19)}
+
+    def test_a_blank_line_is_counted_in_the_override_row_number(self, tmp_path):
+        f = tmp_path / "overrides.csv"
+        # line 3 is blank, so the bad date sits on line 4
+        f.write_text("peak_date,bubble_start_date\n1994-01-04,19-Aug-1991\n\n"
+                     "1998-05-15,garbage\n")
+        with pytest.raises(DataError, match="^row 4: unparseable date: 'garbage'"):
+            load_overrides(f)
+
+    def test_a_missing_override_column_is_config_error(self, tmp_path):
+        f = tmp_path / "overrides.csv"
+        f.write_text("peak_date,start\n1994-01-04,19-Aug-1991\n")
+        with pytest.raises(ConfigError, match="^column 'bubble_start_date' not found"):
+            load_overrides(f)

@@ -31,7 +31,6 @@ from bubblefit.lppl import WindowSolver, linear_solve, window_objective
 from conftest import (
     ANCHOR,
     NOISY_PARAMS,
-    NOISY_SETTINGS,
     canonical_params,
     series_from_values,
     window_of,
@@ -505,7 +504,7 @@ def noisy_window(rng_seed: int) -> BubbleWindow:
 
 @functools.cache
 def noisy_fits(rng_seed: int) -> list:
-    return recursive_seed_search(noisy_window(rng_seed), settings=NOISY_SETTINGS)
+    return recursive_seed_search(noisy_window(rng_seed))
 
 
 def assert_ranked_and_apart(fits) -> None:
@@ -537,7 +536,7 @@ class TestSearchOracle:
     def test_noisy_window(self, rng_seed):
         best = noisy_fits(rng_seed)[0]
         assert_search_reaches_oracle(noisy_window(rng_seed), best.diagnostics.rmse,
-                                     SearchBounds(), NOISY_SETTINGS)
+                                     SearchBounds(), SearchSettings())
 
     @pytest.mark.parametrize("k", range(len(CHAIN)))
     def test_chain_bubble(self, k):

@@ -106,6 +106,56 @@ class TestLoadCsv:
         series = load_csv(f, "date", "value")
         assert series.dates[0] == dt.date(1987, 12, 7)
 
+    def test_a_blank_line_is_counted_in_the_row_number(self, tmp_path):
+        f = tmp_path / "blank.csv"
+        # line 3 is blank, so the bad value sits on line 5
+        write_rows(f, ["1970-01-02,150.0", "", "1970-01-05,151.0", "1970-01-06,x"])
+        with pytest.raises(DataError, match="^row 5: unparseable value 'x'$"):
+            load_csv(f, "date", "value")
+
+    def test_a_bad_value_is_quoted_stripped(self, tmp_path):
+        f = tmp_path / "pad.csv"
+        write_rows(f, ["1970-01-02, x "])
+        with pytest.raises(DataError, match="^row 2: unparseable value 'x'$"):
+            load_csv(f, "date", "value")
+
+    @pytest.mark.parametrize("row", ["1970-01-05,", ",151.0", "1970-01-05"])
+    def test_an_empty_or_missing_cell_names_the_row(self, tmp_path, row):
+        f = tmp_path / "empty.csv"
+        write_rows(f, ["1970-01-02,150.0", row])
+        with pytest.raises(DataError, match="^row 3: empty field$"):
+            load_csv(f, "date", "value")
+
+    @pytest.mark.parametrize("header", ["date", ""])
+    def test_a_header_of_fewer_than_two_columns_is_config_error(self, tmp_path,
+                                                                header):
+        f = tmp_path / "one.csv"
+        write_rows(f, ["1970-01-02"], header=header)
+        with pytest.raises(ConfigError, match="at least two columns"):
+            load_csv(f)
+
+    @pytest.mark.parametrize("named", [None, "value"])
+    def test_a_duplicated_column_name_reads_its_first_column(self, tmp_path, named):
+        f = tmp_path / "dup.csv"
+        write_rows(f, ["1970-01-02,150.0,999.0"], header="date,value,value")
+        assert load_csv(f, value_column=named).values.tolist() == [150.0]
+
+    def test_columns_are_guessed_in_the_order_of_the_guesses(self, tmp_path, capsys):
+        f = tmp_path / "guess.csv"
+        write_rows(f, ["1,1970-01-02,150.0,999.0"], header="n, Day ,Price,CLOSE")
+        assert load_csv(f).values.tolist() == [999.0]
+        assert capsys.readouterr().err == ""
+
+    def test_unknown_columns_fall_back_to_position_with_a_note(self, tmp_path,
+                                                               capsys):
+        f = tmp_path / "pos.csv"
+        write_rows(f, ["1970-01-02,150.0"], header="when,level")
+        series = load_csv(f)
+        assert series.dates == (dt.date(1970, 1, 2),)
+        assert capsys.readouterr().err == (
+            "note: using column 'when' as the date column\n"
+            "note: using column 'level' as the value column\n")
+
     def test_round_trip_through_write_csv(self, tmp_path):
         series = series_from_values([100.0, 101.5, 103.25])
         f = tmp_path / "rt.csv"
