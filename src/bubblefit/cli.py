@@ -154,12 +154,26 @@ class RunConfig:
         return d
 
 
+def _json_number(value, name: str, integer: bool = False):
+    """A number read from JSON, as a float, or as an int with `integer`.
+    float() and int() would take a bool or a numeric string, and int()
+    would cut a fraction, so each of those is a ConfigError naming `name`."""
+    # type(), not isinstance: a bool is an int
+    if type(value) not in ((int,) if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{name} must be {kind} (got {json.dumps(value)})")
+    try:
+        return value if integer else float(value)
+    except OverflowError:  # an integer past the largest float
+        raise ConfigError(f"{name} is too large for a float") from None
+
+
 def parse_seed_bounds(text: str | None) -> SearchBounds:
     if not text:
         return SearchBounds()
     try:
         spec = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"--seed-bounds is not valid JSON: {exc}") from exc
     if not isinstance(spec, dict):
         raise ConfigError("--seed-bounds must be a JSON object")
@@ -173,11 +187,7 @@ def parse_seed_bounds(text: str | None) -> SearchBounds:
         if not isinstance(entry, (list, tuple)) or len(entry) not in (2, 3):
             raise ConfigError(f"--seed-bounds: {name} needs [lower, upper] or "
                               "[lower, upper, min_width]")
-        try:
-            values = [float(v) for v in entry]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"--seed-bounds: {name} needs numbers, "
-                              f"got {entry}") from exc
+        values = [_json_number(v, f"--seed-bounds: {name}") for v in entry]
         i = _BOUNDED.index(name)
         lower[i], upper[i] = values[:2]
         if len(values) == 3:
@@ -316,23 +326,24 @@ def _generator_spec_from_json(config: RunConfig) -> GeneratorSpec:
     try:
         with open_input(config.input, ConfigError) as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"{config.input}: invalid generator spec JSON: {exc}") from exc
     try:
         p = payload["params"]
         params = LpplParams(
-            a=float(p["a"]), b=float(p["b"]), c=float(p["c"]),
-            beta=float(p["beta"]), omega=float(p["omega"]),
-            t2c=float(p["t2c"]), phi=float(p["phi"]),
+            **{name: _json_number(p[name], f"generator spec: params.{name}")
+               for name in ("a", "b", "c", "beta", "omega", "t2c", "phi")},
             anchor_date=parse_date(p["anchor_date"]),
             scale=Scale(p.get("scale", "raw")),
         )
         seed = config.rng_seed if config.rng_seed is not None else payload.get("rng_seed", 0)
         return GeneratorSpec(
             params=params,
-            n_weekdays=int(payload["n_weekdays"]),
-            noise_sigma=float(payload.get("noise_sigma", 0.0)),
-            rng_seed=int(seed),
+            n_weekdays=_json_number(payload["n_weekdays"],
+                                    "generator spec: n_weekdays", integer=True),
+            noise_sigma=_json_number(payload.get("noise_sigma", 0.0),
+                                     "generator spec: noise_sigma"),
+            rng_seed=_json_number(seed, "generator spec: rng_seed", integer=True),
         )
     except KeyError as exc:
         raise ConfigError(f"generator spec is missing {exc}") from exc

@@ -9,21 +9,22 @@ variable-projection system of `lppl.WindowSolver.gauss_newton`, span a
 hypercube in (beta, omega) between the seed and its solution, then
 recurse into the space below and above that hypercube on each dimension
 while at least the minimum width remains. The simplex is not bounded by
-the seed box, but a seed is abandoned, with no solution, once its best
-point passes BETA_CEILING: past it the fit drifts until the b-floor rule
-stops it, at a point set by that rule and not by the data. A seed is
-also stopped, with no solution, once its best point comes within
-DEDUP_TOL of the point an earlier seed ended at in (beta, |omega|, t2c):
-it would end on the same fit. Either way its box is then cut at that
-point. A seed whose search stops gaining, as in a valley with no finite
-minimizer, is abandoned too (see `SearchSettings`), its box cut at its
-lowest point. Every point the simplex and the polish try goes through
-one objective, which applies all three. A seed whose polish ends not
-converged at the edge of the domain (below BETA_FLOOR, in the beta -> 0
-valley, or on the t2c = 1 day bound) ends at a point set by that edge
-and not by the data: its box is cut there and later seeds stop there as
-at any end point, but its solution is reported only if no other seed
-keeps one. The boxes overlap (the box below on beta spans every omega
+the seed box, and each seed's search ends for one of five reasons. A
+seed ends at "ceiling", with no solution, once its best point passes
+BETA_CEILING: past it the fit drifts until the b-floor rule stops it, at
+a point set by that rule and not by the data. It ends at "kept", with no
+solution, once its best point comes within DEDUP_TOL of the point an
+earlier seed ended at in (beta, |omega|, t2c): it would end on the same
+fit. Either way its box is then cut at that point. A seed whose search
+stops gaining, as in a valley with no finite minimizer, ends at "stall"
+(see `SearchSettings`), its box cut at its lowest point. Every point the
+simplex and the polish try goes through one objective, which applies
+all three. A seed whose polish ends not converged at the edge of the
+domain (below BETA_FLOOR, in the beta -> 0 valley, or on the t2c = 1 day
+bound) ends at "edge", at a point set by that edge and not by the data:
+its box is cut there and later seeds stop there as at any end point, but
+its solution is reported only if no seed ends at "fit", the reason of
+every other seed. The boxes overlap (the box below on beta spans every omega
 and the one below on omega every beta), so a midpoint can come up again;
 a seed search is a pure function of the seed, so each distinct seed is
 searched once and a repeated box is cut at the stored point. Each
@@ -455,8 +456,9 @@ def _boundary_warnings(beta: float, omega: float,
 
 class _SeedStopped(Exception):
     """Raised by the search's objective where a seed's search stops without
-    a fit, with the point its box is cut at and the reason it is counted
-    under (None at a kept fit) as arguments."""
+    a fit, with the point its box is cut at and the reason as arguments:
+    "ceiling" past BETA_CEILING, "kept" near an earlier seed's end point
+    or "stall" where the search stopped gaining."""
 
 
 def _search_from_seed(objective, seed, x_tol, f_tol, settings: SearchSettings,
@@ -477,9 +479,9 @@ def _search_from_seed(objective, seed, x_tol, f_tol, settings: SearchSettings,
     polished = _polish(objective, system, best, x_tol, f_tol, remaining,
                        floor_beta)
     beta, _, t2c = polished.x.tolist()
-    at_edge = not polished.converged and (beta < BETA_FLOOR or t2c - 1.0 <= x_tol[2])
+    edge = not polished.converged and (beta < BETA_FLOOR or t2c - 1.0 <= x_tol[2])
     return polished._replace(evaluations=best.evaluations + polished.evaluations,
-                             converged=best.converged or polished.converged), at_edge
+                             converged=best.converged or polished.converged), edge
 
 
 def _polish(objective, system, start: NelderMeadResult, x_tol, f_tol,
@@ -566,8 +568,7 @@ def _fit_tolerances(window: BubbleWindow, bounds: SearchBounds,
 
 
 def _build_result(window: BubbleWindow, theta, linear, value: float, seed,
-                  evals: int, converged: bool,
-                  ranges: PrecursorRanges) -> FitResult:
+                  outcome: NelderMeadResult, ranges: PrecursorRanges) -> FitResult:
     a, b, c = linear
     beta, omega, t2c, phi = theta
     params = LpplParams(a, b, c, beta, omega, t2c, phi,
@@ -584,8 +585,8 @@ def _build_result(window: BubbleWindow, theta, linear, value: float, seed,
         params=params,
         diagnostics=diagnostics,
         seed_used=tuple(float(s) for s in seed),
-        function_evaluations=evals,
-        converged=converged,
+        function_evaluations=outcome.evaluations,
+        converged=outcome.converged,
         classification=classification,
         warnings=_boundary_warnings(beta, omega, ranges),
     )
@@ -608,12 +609,13 @@ def recursive_seed_search(
     has seen and that either has beta above BETA_CEILING or lies within
     DEDUP_TOL of the point an earlier seed ended at, compared in (beta,
     |omega|, t2c) (phi is solved at each point, and the phase-solved value
-    is even in omega): that seed yields no fit and its box is cut there.
-    So no two results lie within DEDUP_TOL of each other. A seed that
-    stalls (see `SearchSettings.stall_evals`) yields no fit either, and its
-    box is cut at its lowest point. A seed that ends at the edge of the
-    domain (see `_search_from_seed`) is cut, and stops later seeds, like
-    any other, but its fit is reported only if no other seed keeps one.
+    is even in omega): that seed ends at "ceiling" or at "kept", yields no
+    fit and its box is cut there. So no two results lie within DEDUP_TOL
+    of each other. A seed that stalls (see `SearchSettings.stall_evals`)
+    ends at "stall", yields no fit either, and its box is cut at its lowest
+    point. A seed that ends at the edge of the domain (see
+    `_search_from_seed`) ends at "edge": it is cut, and stops later seeds,
+    like any other, but its fit is reported only if no seed ends at "fit".
     Results are canonicalized and sorted by RMSE ascending with
     lexicographic (beta, omega, t2c, phi) tie-breaking, so identical
     inputs always produce identical output.
@@ -623,7 +625,8 @@ def recursive_seed_search(
     step that would cross it holds beta at the floor.
 
     Raises DataError, naming the seeds searched, those abandoned past
-    BETA_CEILING and those that stalled, when the search keeps no fit.
+    BETA_CEILING ("ceiling") and those that stalled ("stall"), when the
+    search keeps no fit.
     """
     if len(window) < 10:
         raise UsageError("need at least 10 observations for a 7-parameter fit")
@@ -649,7 +652,7 @@ def recursive_seed_search(
             for b, w, t in found:
                 if (abs(beta - b) < beta_tol and abs(omega - w) < omega_tol
                         and abs(t2c - t) < t2c_tol):
-                    raise _SeedStopped(np.array(theta), None)
+                    raise _SeedStopped(np.array(theta), "kept")
             lowest, lowest_at = value, theta
         if value < bar:
             bar, idle = value - f_tol, 0
@@ -659,13 +662,10 @@ def recursive_seed_search(
                 raise _SeedStopped(np.array(lowest_at), "stall")
         return value
 
-    # the point each distinct seed's box is cut at, and the outcome of each
-    # seed that was not stopped (those that ended at the edge of the domain
-    # apart), in first-search order
-    cuts: dict[tuple, np.ndarray] = {}
-    solutions: dict[tuple, NelderMeadResult] = {}
-    at_edge: dict[tuple, NelderMeadResult] = {}
-    abandoned = dict.fromkeys(("ceiling", "stall", None), 0)  # seeds, by reason
+    # how each distinct seed's search ended, in first-search order: the
+    # point its box is cut at, the reason ("fit", "edge", "ceiling", "kept"
+    # or "stall") and, for "fit" and "edge", the search's outcome
+    ends: dict[tuple, tuple[np.ndarray, str, NelderMeadResult | None]] = {}
 
     def search(lo: np.ndarray, up: np.ndarray) -> None:
         nonlocal lowest, lowest_at, bar, idle
@@ -674,24 +674,23 @@ def recursive_seed_search(
         if floor_beta:
             seed[0] = max(seed[0], BETA_FLOOR)
         key = tuple(seed)
-        if key not in cuts:
+        if key not in ends:
             lowest, lowest_at, bar, idle = math.inf, seed, math.inf, 0
             try:
                 outcome, edge = _search_from_seed(objective, seed, x_tol, f_tol,
                                                   settings, solver.gauss_newton,
                                                   floor_beta)
             except _SeedStopped as stop:
-                cuts[key], reason = stop.args
-                abandoned[reason] += 1
+                ends[key] = (*stop.args, None)
             else:
-                (at_edge if edge else solutions)[key] = outcome
-                cuts[key] = outcome.x
+                ends[key] = (outcome.x, "edge" if edge else "fit", outcome)
                 beta, omega, t2c = outcome.x.tolist()
                 found.append((beta, abs(omega), t2c))
         # cut at the midpoint, not at a lifted seed: each sub-box then lies
         # in one half of its box, and the recursion ends
-        bottom = np.minimum(middle[:2], cuts[key][:2])
-        top = np.maximum(middle[:2], cuts[key][:2])
+        cut = ends[key][0]
+        bottom = np.minimum(middle[:2], cut[:2])
+        top = np.maximum(middle[:2], cut[:2])
         min_widths = (bounds.min_width_beta, bounds.min_width_omega)
         for p in (0, 1):
             if bottom[p] - lo[p] >= min_widths[p]:
@@ -706,32 +705,31 @@ def recursive_seed_search(
     search(np.asarray(bounds.lower, dtype=float),
            np.asarray(bounds.upper, dtype=float))
 
-    # report each solution at its canonical point, with the phase solved
-    # there; the curve is unchanged but the kernel solves again with that
-    # phase held so value and parameters stay consistent (solutions whose
-    # basis is numerically degenerate after the ulp-level phase shift are
-    # dropped)
+    # report the solution of each seed that ended at "fit" (at "edge" when
+    # none did) at its canonical point, with the phase solved there; the
+    # curve is unchanged but the kernel solves again with that phase held so
+    # value and parameters stay consistent (solutions whose basis is
+    # numerically degenerate after the ulp-level phase shift are dropped)
     # no beta floor re-check: the best vertex is finite, canonicalizing keeps beta
-    entries = []
-    for seed, outcome in (solutions or at_edge).items():
+    reasons = [reason for _, reason, _ in ends.values()]
+    reported = "fit" if "fit" in reasons else "edge"
+    fits = []
+    for seed, (_, reason, outcome) in ends.items():
+        if reason != reported:
+            continue
         solved = solver.solve(*outcome.x.tolist())
         if solved is None:
             continue
         theta = canonicalize_theta((*outcome.x, solved[3]))
         held = solver.solve(*theta)
         if held is not None:
-            entries.append((solver.rmse(held[4]), theta, seed,
-                            outcome.evaluations, outcome.converged, held[:3]))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    if not entries:
-        raise DataError(f"the search kept no fit: {len(cuts)} seeds searched, "
-                        f"{abandoned['ceiling']} abandoned past beta "
-                        f"{BETA_CEILING}, {abandoned['stall']} stalled")
-
-    return [
-        _build_result(window, theta, linear, value, seed, evals, conv, ranges)
-        for value, theta, seed, evals, conv, linear in entries
-    ]
+            fits.append(_build_result(window, theta, held[:3], solver.rmse(held[4]),
+                                      seed, outcome, ranges))
+    if not fits:
+        raise DataError(f"the search kept no fit: {len(ends)} seeds searched, "
+                        f"{reasons.count('ceiling')} abandoned past beta "
+                        f"{BETA_CEILING}, {reasons.count('stall')} stalled")
+    return sorted(fits, key=lambda fit: (fit.diagnostics.rmse, fit.params.theta()))
 
 
 @dataclass(frozen=True)

@@ -101,8 +101,19 @@ class TestGenerateCommand:
         json.dumps(dict(GEN_SPEC, params=dict(GEN_SPEC["params"], beta=math.nan))),
         json.dumps(dict(GEN_SPEC, params=dict(GEN_SPEC["params"], omega=math.inf))),
         json.dumps(dict(GEN_SPEC, params=dict(GEN_SPEC["params"], c=math.inf))),
+        json.dumps(dict(GEN_SPEC, params=dict(GEN_SPEC["params"], a="1000"))),
+        json.dumps(dict(GEN_SPEC, params=dict(GEN_SPEC["params"], c=True))),
+        json.dumps(dict(GEN_SPEC, noise_sigma="0")),
+        json.dumps(dict(GEN_SPEC, n_weekdays=320.9)),
+        json.dumps(dict(GEN_SPEC, rng_seed=12.7)),
+        json.dumps(dict(GEN_SPEC, rng_seed=True)),
+        json.dumps(dict(GEN_SPEC, params=dict(GEN_SPEC["params"], a=10 ** 400))),
+        json.dumps(GEN_SPEC).replace('"rng_seed": 12', '"rng_seed": ' + "1" * 5000),
     ], ids=["bad_count", "list", "numeric_date", "not_json", "nan_noise",
-            "inf_noise", "noise_too_large", "nan_beta", "inf_omega", "inf_c"])
+            "inf_noise", "noise_too_large", "nan_beta", "inf_omega", "inf_c",
+            "text_a", "bool_c", "text_noise", "fractional_count",
+            "fractional_rng_seed", "bool_rng_seed", "a_past_float",
+            "rng_seed_of_5000_digits"])
     def test_malformed_spec_exits_1(self, text, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text)
@@ -400,7 +411,14 @@ class TestErrorHandling:
         '{"beta": [null, 2]}',
         '{"beta": [0, 2, "w"]}',
         '{"phi": [0, 1]}',
-    ], ids=["not_json", "text_bound", "null_bound", "text_width", "phi"])
+        '{"beta": [0, true]}',
+        '{"beta": ["0", "2"]}',
+        '{"omega": [0, 20, true]}',
+        '{"t2c": [1, 1%s]}' % ("0" * 400),
+        '{"t2c": [1, %s]}' % ("1" * 5000),
+    ], ids=["not_json", "text_bound", "null_bound", "text_width", "phi",
+            "bool_bound", "numeric_text_bounds", "bool_width", "bound_past_float",
+            "bound_of_5000_digits"])
     def test_bad_seed_bounds_json_exits_1(self, bounds, crash_csv, tmp_path,
                                           capsys):
         code = run("--input", str(crash_csv), "--command", "fit",

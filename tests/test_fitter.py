@@ -470,6 +470,23 @@ class TestRecursiveSeedSearch:
         assert seeds == plain_seeds
         assert [f.to_dict() for f in fits] == [f.to_dict() for f in expected]
 
+    def test_fits_that_tie_on_rmse_are_ranked_by_theta(self, small_window,
+                                                       monkeypatch):
+        # the first seed, at beta 0.5, keeps the minimum at beta 0.7 and the
+        # second, at beta 0.25, the moved one at beta 0.3; every point
+        # solves to the same SSE, so the two fits tie on RMSE and rank by
+        # (beta, omega, t2c, phi), against their seed order
+        seeds = recording_seeds(monkeypatch)
+        bowl_objective(monkeypatch, 0.7, moved=(0.3, 10.0, 130.5), seeds=seeds)
+        monkeypatch.setattr(fitter.WindowSolver, "solve",
+                            lambda self, *theta: (1.0, -1.0, 0.1, 0.5, 4.0))
+        fits = recursive_seed_search(small_window, bounds=BETA_LINE,
+                                     settings=LIGHT)
+        assert seeds[:2] == [(0.5, 10.0, 130.5), (0.25, 10.0, 130.5)]
+        assert [f.seed_used for f in fits] == [seeds[1], seeds[0]]
+        assert fits[0].diagnostics.rmse == fits[1].diagnostics.rmse
+        assert fits[0].params.theta() < fits[1].params.theta()
+
 
 # the three bubbles of the benchmark's chained series, (scale, parameters,
 # weekdays, noise sigma), fitted with its coarse seed partition
@@ -1021,6 +1038,24 @@ class TestStall:
         assert len(bowl_run) > settings.stall_evals
         assert [f.seed_used for f in fits] == [seeds[1]]
         assert fits[0].params.theta()[:3] == pytest.approx(minimum, rel=1e-6)
+
+    def test_a_search_that_keeps_no_fit_counts_each_reason(self, small_window,
+                                                           monkeypatch):
+        # the first seed searches a bowl at beta 3 and is abandoned past the
+        # ceiling; every later seed searches the valley and stalls
+        seeds = recording_seeds(monkeypatch)
+
+        def objective(theta):
+            return bowl((3.0, 10.0, 130.5))(theta) if len(seeds) < 2 else valley(theta)
+
+        search_objective(monkeypatch, objective, lambda *theta: None)
+        settings = dataclasses.replace(LIGHT, stall_evals=60)
+        with pytest.raises(DataError) as failure:
+            recursive_seed_search(small_window, bounds=BETA_LINE, settings=settings)
+        assert len(seeds) > 2
+        assert str(failure.value) == (
+            f"the search kept no fit: {len(seeds)} seeds searched, "
+            f"1 abandoned past beta 2.0, {len(seeds) - 1} stalled")
 
     def test_polish_calls_count_toward_the_stall(self, small_window, monkeypatch):
         # the system points at a far-off minimum, so the polish refuses
