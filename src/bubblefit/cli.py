@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
                         '\'{"beta": [0, 2, 0.2], "t2c": [1, 260]}\' (third '
                         "entry = minimum width for beta/omega); the bounds "
                         "place the seeds, and a seed whose simplex passes "
-                        f"beta {BETA_CEILING} is abandoned")
+                        f"beta {BETA_CEILING}, or that is outside the "
+                        "model's domain, ends without a fit")
     p.add_argument("--precursor-beta", type=float, nargs=2, metavar=("LO", "HI"),
                    default=PrecursorRanges.beta_range,
                    help="beta range for precursor classification "

@@ -33,8 +33,9 @@ class CrashConfig:
         if not (0.0 < self.drop_to_fraction < 1.0):
             raise UsageError("drop_to_fraction must be in (0, 1)")
         for field in ("lookback_weekdays", "drop_window_weekdays", "min_bubble_weekdays"):
-            if getattr(self, field) < 1:
-                raise UsageError(f"{field} must be >= 1")
+            value = getattr(self, field)
+            if not (type(value) is int and value >= 1):  # type(): a bool is an int
+                raise UsageError(f"{field} must be an integer >= 1 (got {value!r})")
 
 
 @dataclass(frozen=True)

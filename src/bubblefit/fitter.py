@@ -9,22 +9,24 @@ variable-projection system of `lppl.WindowSolver.gauss_newton`, span a
 hypercube in (beta, omega) between the seed and its solution, then
 recurse into the space below and above that hypercube on each dimension
 while at least the minimum width remains. The simplex is not bounded by
-the seed box, and each seed's search ends for one of five reasons. A
-seed ends at "ceiling", with no solution, once its best point passes
-BETA_CEILING: past it the fit drifts until the b-floor rule stops it, at
-a point set by that rule and not by the data. It ends at "kept", with no
-solution, once its best point comes within DEDUP_TOL of the point an
-earlier seed ended at in (beta, |omega|, t2c): it would end on the same
-fit. Either way its box is then cut at that point. A seed whose search
-stops gaining, as in a valley with no finite minimizer, ends at "stall"
-(see `SearchSettings`), its box cut at its lowest point. Every point the
-simplex and the polish try goes through one objective, which applies
-all three. A seed whose polish ends not converged at the edge of the
-domain (below BETA_FLOOR, in the beta -> 0 valley, or on the t2c = 1 day
-bound) ends at "edge", at a point set by that edge and not by the data:
-its box is cut there and later seeds stop there as at any end point, but
-its solution is reported only if no seed ends at "fit", the reason of
-every other seed. The boxes overlap (the box below on beta spans every omega
+the seed box. A seed's search ends for one of six reasons, and its box
+is then cut at the point it ended at:
+- "ceiling": its best point passes BETA_CEILING. Past it the fit drifts
+  until the b-floor rule stops it, at a point set by that rule and not
+  by the data.
+- "kept": its best point comes within DEDUP_TOL of the point an earlier
+  seed ended at in (beta, |omega|, t2c); it would end on the same fit.
+- "stall": its search stops gaining, as in a valley with no finite
+  minimizer (see `SearchSettings`); it ends at its lowest point.
+- "domain": the objective is not finite at the seed (beta <= 0, t2c
+  below 1 day, or a rule of `lppl.WindowSolver` such as the b-floor).
+- "edge": its polish ends not converged at the edge of the domain (below
+  BETA_FLOOR, in the beta -> 0 valley, or on the t2c = 1 day bound), at
+  a point set by that edge and not by the data. Its solution is
+  reported only if no seed ends at "fit", the reason of every other seed.
+None of the first four yields a solution. The simplex and the polish
+try every point through one objective, which applies "ceiling", "kept"
+and "stall". The boxes overlap (the box below on beta spans every omega
 and the one below on omega every beta), so a midpoint can come up again;
 a seed search is a pure function of the seed, so each distinct seed is
 searched once and a repeated box is cut at the stored point. Each
@@ -111,8 +113,9 @@ class SearchBounds:
     """Seed bounds for (beta, omega, t2c) and the recursion minimum widths.
 
     The bounds place the seeds; a simplex may leave them. A seed whose
-    simplex passes beta BETA_CEILING is abandoned whatever the bounds, so
-    a box above the ceiling yields no fit.
+    simplex passes beta BETA_CEILING ends without a fit whatever the
+    bounds, as does a seed outside the objective's domain, so a box above
+    the ceiling yields no fit.
     """
 
     lower: tuple[float, float, float] = (0.0, 0.0, 1.0)
@@ -207,16 +210,15 @@ def nelder_mead(objective: Callable, seed, *, x_tol=1e-6, f_tol=1e-8,
     per-dimension) on every coordinate AND the vertex value spread is
     within `f_tol`; otherwise it runs until `max_evals` and returns
     converged=False. The objective receives each point as a list of floats
-    and may return +inf (or NaN, taken as +inf) anywhere except at the seed.
+    and may return +inf (or NaN, taken as +inf) anywhere. A seed whose
+    value is not finite ends at once: the result is (seed, inf, 1, False).
 
     A 2-D `seed` is a stack of seeds, one row per simplex, and the
     simplexes advance in lockstep: each round calls the objective once
     with a (K, ndim) array holding every simplex's next point, NaN rows
     for the simplexes that have stopped, and takes K values back. The
     result is then a list whose row i is exactly what a call with seed
-    row i alone returns, or None where the value at that seed is not
-    finite (where that call raises UsageError). An empty stack gives []
-    without a call.
+    row i alone returns. An empty stack gives [] without a call.
 
     A single seed's simplex is held as lists of floats (`_simplex`): with
     three or four vertices, numpy's per-operation overhead would cost
@@ -232,7 +234,7 @@ def nelder_mead(objective: Callable, seed, *, x_tol=1e-6, f_tol=1e-8,
 
 
 def _lockstep_arrays(objective, seeds, x_tol, f_tol,
-                     max_evals) -> list[NelderMeadResult | None]:
+                     max_evals) -> list[NelderMeadResult]:
     """`nelder_mead` over a stack of seeds, every simplex held in arrays:
     sim[j] holds vertex j of every simplex and fsim[j] its value, one
     column per seed.
@@ -261,16 +263,16 @@ def _lockstep_arrays(objective, seeds, x_tol, f_tol,
     points = seeds.copy()
     # an expansion round reads the centroid and step of the round before
     centroid = step = np.zeros_like(seeds)
-    results: list[NelderMeadResult | None] = [None] * k
+    results: list[NelderMeadResult] = [None] * k  # each set as it stops
     live, evals = k, 0
     while live:
         # NaN counts as +inf: fmin takes the other operand of a NaN
         f = np.fmin(np.asarray(objective(points), dtype=float), math.inf)
         evals += 1
-        if evals == 1:  # a seed that is not finite stops with None
-            failed = ~np.isfinite(f)
-            phase[failed] = _STOPPED
-            live -= int(np.count_nonzero(failed))
+        if evals == 1:  # a seed that is not finite ends there, at +inf
+            for i in np.flatnonzero(~np.isfinite(f)).tolist():
+                phase[i], live = _STOPPED, live - 1
+                results[i] = NelderMeadResult(seeds[i].copy(), math.inf, 1, False)
         with np.errstate(all="ignore"):
             reflect = phase == _REFLECT
             expand = phase == _EXPAND
@@ -354,7 +356,7 @@ def _simplex(objective, seed: list, x_tol, f_tol,
     f_seed = evaluate(seed)
     evals = 1
     if not math.isfinite(f_seed):
-        raise UsageError(f"objective is not finite at the seed {seed}")
+        return NelderMeadResult(np.array(seed), math.inf, evals, False)
 
     sim, fsim = [seed], [f_seed]
     for i in range(ndim):
@@ -455,24 +457,25 @@ def _boundary_warnings(beta: float, omega: float,
 
 
 class _SeedStopped(Exception):
-    """Raised by the search's objective where a seed's search stops without
-    a fit, with the point its box is cut at and the reason as arguments:
-    "ceiling" past BETA_CEILING, "kept" near an earlier seed's end point
-    or "stall" where the search stopped gaining."""
+    """Raised where a seed's search ends without a fit, with the point its
+    box is cut at and the reason (see the module docstring) as arguments."""
 
 
 def _search_from_seed(objective, seed, x_tol, f_tol, settings: SearchSettings,
                       system, floor_beta: bool) -> tuple[NelderMeadResult, bool]:
     """One simplex run, then (with `settings.restarts` 1 and budget left)
     one Gauss-Newton polish from its best point within the per-seed
-    budget; and whether the seed ended at the edge of the domain: its
-    polish ended not converged below BETA_FLOOR or within x_tol of the
-    t2c = 1 day bound. No damped step there lowers the value and stays in
-    the domain (t2c >= 1, beta > 0 and, in the beta -> 0 valley, the
-    collinear rule, where the kernel's rounding sets the last admissible
-    values), so the point is set by the edge and not by the data."""
+    budget; and whether the seed ended at "edge": its polish ended not
+    converged below BETA_FLOOR or within x_tol of the t2c = 1 day bound.
+    No damped step there lowers the value and stays in the domain (t2c >=
+    1, beta > 0 and, in the beta -> 0 valley, the collinear rule, where
+    the kernel's rounding sets the last admissible values). Raises
+    _SeedStopped at "domain" for a seed whose value is not finite; the
+    search's objective raises it at "ceiling", "kept" and "stall"."""
     best = nelder_mead(objective, seed, x_tol=x_tol, f_tol=f_tol,
                        max_evals=settings.max_evals)
+    if best.value == math.inf:
+        raise _SeedStopped(best.x, "domain")
     remaining = settings.max_evals - best.evaluations
     if not settings.restarts or remaining <= 0:
         return best, False
@@ -604,18 +607,14 @@ def recursive_seed_search(
 
     Each distinct seed is searched once: a box whose midpoint was already
     searched is cut where that search was and adds no second solution (it
-    would be an exact copy). A seed's search, its simplex and its polish,
-    stops at the first point whose value is below every value that search
-    has seen and that either has beta above BETA_CEILING or lies within
-    DEDUP_TOL of the point an earlier seed ended at, compared in (beta,
-    |omega|, t2c) (phi is solved at each point, and the phase-solved value
-    is even in omega): that seed ends at "ceiling" or at "kept", yields no
-    fit and its box is cut there. So no two results lie within DEDUP_TOL
-    of each other. A seed that stalls (see `SearchSettings.stall_evals`)
-    ends at "stall", yields no fit either, and its box is cut at its lowest
-    point. A seed that ends at the edge of the domain (see
-    `_search_from_seed`) ends at "edge": it is cut, and stops later seeds,
-    like any other, but its fit is reported only if no seed ends at "fit".
+    would be an exact copy). Each seed ends for one of the reasons the
+    module docstring lists. A seed's search, its simplex and its polish,
+    ends at "ceiling" or "kept" at the first point whose value is below
+    every value that search has seen and that either has beta above
+    BETA_CEILING or lies within DEDUP_TOL of the point an earlier seed
+    ended at, compared in (beta, |omega|, t2c) (phi is solved at each
+    point, and the phase-solved value is even in omega). So no two
+    results lie within DEDUP_TOL of each other.
     Results are canonicalized and sorted by RMSE ascending with
     lexicographic (beta, omega, t2c, phi) tie-breaking, so identical
     inputs always produce identical output.
@@ -624,9 +623,8 @@ def recursive_seed_search(
     evaluate to +inf, a seed below the floor starts at it, and a polish
     step that would cross it holds beta at the floor.
 
-    Raises DataError, naming the seeds searched, those abandoned past
-    BETA_CEILING ("ceiling") and those that stalled ("stall"), when the
-    search keeps no fit.
+    Raises DataError, counting the seeds searched and those that ended at
+    "ceiling", "stall" and "domain", when the search keeps no fit.
     """
     if len(window) < 10:
         raise UsageError("need at least 10 observations for a 7-parameter fit")
@@ -663,8 +661,8 @@ def recursive_seed_search(
         return value
 
     # how each distinct seed's search ended, in first-search order: the
-    # point its box is cut at, the reason ("fit", "edge", "ceiling", "kept"
-    # or "stall") and, for "fit" and "edge", the search's outcome
+    # point its box is cut at, the reason (see the module docstring) and,
+    # for "fit" and "edge", the search's outcome
     ends: dict[tuple, tuple[np.ndarray, str, NelderMeadResult | None]] = {}
 
     def search(lo: np.ndarray, up: np.ndarray) -> None:
@@ -728,7 +726,8 @@ def recursive_seed_search(
     if not fits:
         raise DataError(f"the search kept no fit: {len(ends)} seeds searched, "
                         f"{reasons.count('ceiling')} abandoned past beta "
-                        f"{BETA_CEILING}, {reasons.count('stall')} stalled")
+                        f"{BETA_CEILING}, {reasons.count('stall')} stalled, "
+                        f"{reasons.count('domain')} outside the domain")
     return sorted(fits, key=lambda fit: (fit.diagnostics.rmse, fit.params.theta()))
 
 

@@ -47,8 +47,8 @@ class ScanSpec:
     def __post_init__(self):
         if self.parameter not in PARAMETER_INDEX:
             raise UsageError(f"unknown scan parameter {self.parameter!r}")
-        if self.steps < 3 or self.steps % 2 == 0:
-            raise UsageError("steps must be odd and at least 3 so the center is sampled")
+        if type(self.steps) is not int or self.steps < 3 or self.steps % 2 == 0:
+            raise UsageError(f"steps must be an odd integer >= 3 (got {self.steps!r})")
         if not 0 < self.half_width < math.inf:
             raise UsageError("half_width must be positive and finite")
 
@@ -126,8 +126,7 @@ def _reoptimized_rmse(window, theta, index, grid, settings) -> list[float]:
 
     results = nelder_mead(reduced, points[:, free], x_tol=REOPT_X_TOL,
                           f_tol=REOPT_F_TOL, max_evals=settings.max_evals)
-    # None: the objective is not finite at the seed
-    return [math.inf if r is None else r.value for r in results]
+    return [r.value for r in results]
 
 
 def write_scan_csv(curve: ScanCurve, path) -> None:

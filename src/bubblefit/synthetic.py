@@ -27,20 +27,25 @@ class GeneratorSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_weekdays < 10:
-            raise UsageError("n_weekdays must be at least 10")
+        # type(), not isinstance: a bool is an int, but neither a count nor a seed
+        if not (type(self.n_weekdays) is int and self.n_weekdays >= 10):
+            raise UsageError(f"n_weekdays must be an integer >= 10 (got {self.n_weekdays!r})")
         if not 0 <= self.noise_sigma < np.inf:
             raise UsageError("noise_sigma must be finite and non-negative")
+        if type(self.rng_seed) is not int:
+            raise UsageError(f"rng_seed must be an integer (got {self.rng_seed!r})")
         # numpy's SeedSequence rejects a negative seed with a bare ValueError
         if self.rng_seed < 0:
             raise UsageError(f"rng_seed must be non-negative (got {self.rng_seed})")
 
 
 def weekday_grid(end: dt.date, n: int) -> tuple[dt.date, ...]:
-    """The `n` weekdays ending at `end` (which must itself be a weekday)."""
+    """The `n` weekdays ending at `end` (itself a weekday), none before 0001-01-01."""
     end64 = np.datetime64(end, "D")
     if not np.is_busday(end64):
         raise UsageError(f"{end.isoformat()} is not a weekday")
+    if n > int(np.busday_count(np.datetime64("0001-01-01"), end64)) + 1:  # a far offset wraps
+        raise UsageError(f"the {n} weekdays ending {end.isoformat()} start before 0001-01-01")
     offsets = np.arange(-(n - 1), 1)
     days = np.busday_offset(end64, offsets)
     return tuple(d.astype(dt.date) for d in days)

@@ -29,4 +29,4 @@ def grid_oracle(window, bounds: SearchBounds = SearchBounds(),
     x_tol, f_tol = _fit_tolerances(window, bounds, settings)
     results = nelder_mead(solver.rmse_many, best_cells, x_tol=x_tol,
                           f_tol=f_tol, max_evals=settings.max_evals)
-    return min(r.value for r in results if r is not None)
+    return min(r.value for r in results)

@@ -109,11 +109,16 @@ class TestGenerateCommand:
         json.dumps(dict(GEN_SPEC, rng_seed=True)),
         json.dumps(dict(GEN_SPEC, params=dict(GEN_SPEC["params"], a=10 ** 400))),
         json.dumps(GEN_SPEC).replace('"rng_seed": 12', '"rng_seed": ' + "1" * 5000),
+        # grids that would start before 0001-01-01, refused before they are built
+        json.dumps(dict(GEN_SPEC, params=dict(GEN_SPEC["params"],
+                                              anchor_date="0001-01-05"))),
+        json.dumps(dict(GEN_SPEC, n_weekdays=600000)),
     ], ids=["bad_count", "list", "numeric_date", "not_json", "nan_noise",
             "inf_noise", "noise_too_large", "nan_beta", "inf_omega", "inf_c",
             "text_a", "bool_c", "text_noise", "fractional_count",
             "fractional_rng_seed", "bool_rng_seed", "a_past_float",
-            "rng_seed_of_5000_digits"])
+            "rng_seed_of_5000_digits", "grid_before_year_one",
+            "grid_of_600000_weekdays"])
     def test_malformed_spec_exits_1(self, text, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text)
@@ -122,7 +127,6 @@ class TestGenerateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
-
 
     @pytest.mark.parametrize("spec, flags", [
         (dict(GEN_SPEC, rng_seed=-1), ()),
@@ -342,8 +346,8 @@ class TestFitCommand:
         for entry in index:
             assert entry["fit"] is None
             assert re.fullmatch(r"DataError: the search kept no fit: (\d+) seeds "
-                                r"searched, \1 abandoned past beta 0\.0, 0 stalled",
-                                entry["fit_error"])
+                                r"searched, \1 abandoned past beta 0\.0, 0 stalled, "
+                                r"0 outside the domain", entry["fit_error"])
         assert (out / "manifest.json").exists()
         assert "Traceback" not in capsys.readouterr().err
 
@@ -460,14 +464,28 @@ class TestErrorHandling:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out" / "manifest.json").exists()
 
-    def test_seed_failure_names_the_seed(self, crash_csv, tmp_path):
-        # the overflow guard reads the window, so this fails per window
+    def test_a_seed_outside_the_domain_ends_without_a_fit(self, crash_csv,
+                                                          tmp_path):
+        # the b-floor rule reads the window, so the objective is +inf at
+        # some seeds of this box (beta 4.5 among them) and not at others:
+        # those seeds end without a fit, and the planted fit is still found
         out = tmp_path / "out"
         assert run("--input", str(crash_csv), "--command", "fit",
-                   "--seed-bounds", '{"beta": [0, 400]}', "--out", str(out)) == 2
+                   "--seed-bounds", '{"beta": [0, 6]}', "--out", str(out)) == 0
         index = json.loads((out / "fit_index.json").read_text())
-        assert index[0]["fit_error"] == ("UsageError: objective is not finite "
-                                         "at the seed [200.0, 10.0, 130.5]")
+        best = json.loads((out / index[0]["fit"]).read_text())["best_fit"]
+        assert best["classification"] == "precursor"
+        assert best["params"]["beta"] == pytest.approx(0.33, abs=1e-6)
+
+    def test_a_box_outside_the_domain_fails_its_window(self, crash_csv, tmp_path):
+        out = tmp_path / "out"
+        assert run("--input", str(crash_csv), "--command", "fit",
+                   "--seed-bounds", '{"beta": [20, 60, 0.5], "omega": [0, 20, 5]}',
+                   "--out", str(out)) == 2
+        index = json.loads((out / "fit_index.json").read_text())
+        assert re.fullmatch(r"DataError: the search kept no fit: (\d+) seeds "
+                            r"searched, 0 abandoned past beta 2\.0, 0 stalled, "
+                            r"\1 outside the domain", index[0]["fit_error"])
 
     def test_paper_mode_seed_box_below_the_beta_floor(self, crash_csv, tmp_path):
         # the box's beta midpoint 0.005 is below BETA_FLOOR, where the

@@ -76,9 +76,19 @@ class TestNelderMead:
         assert np.array_equal(result.x, target)
         assert result.value == 0.0
 
-    def test_non_finite_seed_is_usage_error(self):
-        with pytest.raises(UsageError):
-            nelder_mead(lambda x: math.inf, np.zeros(2))
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+    def test_non_finite_seed_ends_at_once(self, value):
+        calls = []
+
+        def objective(x):
+            calls.append(x)
+            return value
+
+        result = nelder_mead(objective, [0.5, 2.0])
+        assert calls == [[0.5, 2.0]]
+        assert isinstance(result.x, np.ndarray)
+        assert (result.x.tolist(), result.value, result.evaluations,
+                result.converged) == ([0.5, 2.0], math.inf, 1, False)
 
     def test_eval_budget_flags_unconverged(self):
         result = nelder_mead(rosenbrock, np.array([3.0, -4.0, 2.0, 5.0]),
@@ -144,7 +154,7 @@ class TestNelderMead:
             return rosenbrock(x)
 
         # zero coordinates, an infeasible, a NaN and a -inf seed (all three
-        # raise alone), and a seed whose start vertices are both inf
+        # end at once at +inf), and a seed whose start vertices are both inf
         special = [[3.0, -4.0, 2.0], [-1.0, 1.0, 0.5], [0.0, 0.0, 0.0],
                    [1.0, 2.0, 5.0], [-3.5, 1.0, 1.0], [-6.0, 1.0, 1.0],
                    [3.9, 1.0, 3.9]]
@@ -165,20 +175,19 @@ class TestNelderMead:
         results = nelder_mead(stacked, seeds, **budget)
         evals, stops = [], set()
         for seed, got in zip(seeds, results):
-            try:
-                alone = nelder_mead(objective, seed, **budget)
-            except UsageError:
-                assert got is None
-                evals.append(1)
-                continue
+            alone = nelder_mead(objective, seed, **budget)
             assert got.x.tolist() == alone.x.tolist()
             assert (got.value, got.evaluations, got.converged) == (
                 alone.value, alone.evaluations, alone.converged)
             evals.append(alone.evaluations)
+            if alone.value == math.inf:
+                continue
             if not alone.converged:
                 assert alone.evaluations >= budget.get("max_evals", 20000)
             stops.add("converged" if alone.converged else "capped")
-        assert evals[3:6] == [1, 1, 1]
+        assert [(r.x.tolist(), r.value, r.evaluations, r.converged)
+                for r in results[3:6]] == [(seed.tolist(), math.inf, 1, False)
+                                           for seed in seeds[3:6]]
         assert stop in stops
         # one call per round, and a simplex's row is NaN once it has stopped
         assert rounds == [[j < e for e in evals] for j in range(max(evals))]
@@ -200,17 +209,19 @@ class TestNelderMead:
 
     def test_zero_dimensional_stack_matches_single_seed_runs(self):
         # a budget of one evaluation ends a simplex in the round that
-        # rejects a seed that is not finite
+        # ends a seed that is not finite
         values = [1.0] * 77 + [math.inf, math.nan, -math.inf]
         for max_evals, converged in ((20000, True), (1, False)):
-            alone = nelder_mead(lambda x: 1.0, [], max_evals=max_evals)
             stacked = nelder_mead(lambda batch: values, np.empty((80, 0)),
                                   max_evals=max_evals)
-            assert stacked[77:] == [None] * 3
-            assert [(r.x.tolist(), r.value, r.evaluations, r.converged)
-                    for r in stacked[:77]] == [([], 1.0, 1, converged)] * 77
-            assert (alone.x.tolist(), alone.value, alone.evaluations,
-                    alone.converged) == ([], 1.0, 1, converged)
+            alone = [nelder_mead(lambda x: value, [], max_evals=max_evals)
+                     for value in values]
+            rows = [(r.x.tolist(), r.value, r.evaluations, r.converged)
+                    for r in stacked]
+            assert rows == [(r.x.tolist(), r.value, r.evaluations, r.converged)
+                            for r in alone]
+            assert rows == ([([], 1.0, 1, converged)] * 77
+                            + [([], math.inf, 1, False)] * 3)
 
 
 class TestCanonicalize:
@@ -762,7 +773,7 @@ class TestBetaCeiling:
         assert calls == [list(seed) for seed in seeds]
         assert str(failure.value) == (
             f"the search kept no fit: {len(seeds)} seeds searched, "
-            f"{len(seeds)} abandoned past beta 2.0, 0 stalled")
+            f"{len(seeds)} abandoned past beta 2.0, 0 stalled, 0 outside the domain")
 
     @pytest.mark.parametrize("k", range(len(CHAIN)))
     def test_fits_below_beta_one_are_kept(self, k):
@@ -845,6 +856,54 @@ class TestPolish:
         assert min(f.params.beta for f in fits) >= fitter.BETA_FLOOR
         assert len(calls) + len(builds) <= 0.8 * 3973
 
+    def test_a_polish_with_no_damped_step_stops_past_the_damping_cap(
+            self, monkeypatch):
+        # a singular J^T J fails the determinant rule at every damping, so
+        # no trial point is made and the budget never runs down: the damping
+        # cap is the only stop (_DAMPING_FACTOR per step from _DAMPING_START)
+        steps = []
+        damped_step = fitter._damped_step
+
+        def counting(*args):
+            steps.append(args[2])
+            assert len(steps) < 100, "the damping grew past its cap"
+            return damped_step(*args)
+
+        monkeypatch.setattr(fitter, "_damped_step", counting)
+        calls = []
+
+        def objective(theta):
+            calls.append(theta)
+            return 1.0
+
+        start = fitter.NelderMeadResult(np.array([0.5, 6.0, 30.0]), 2.0, 10, True)
+        polished = fitter._polish(
+            objective, lambda *theta: (np.diag([1.0, 0.0, 1.0]), np.ones(3)),
+            start, np.full(3, 1e-6), 1e-8, 1000, False)
+        assert (polished.x.tolist(), polished.value, polished.evaluations,
+                polished.converged) == ([0.5, 6.0, 30.0], 2.0, 1, False)
+        assert calls == []
+        assert steps[-1] <= fitter._DAMPING_MAX < steps[-1] * fitter._DAMPING_FACTOR
+
+    def test_a_floored_step_lands_on_the_floor_exactly(self):
+        # from this beta, beta + (BETA_FLOOR - beta) rounds to just below the
+        # floor, where the floored objective is +inf; the trial is set to it
+        beta = 0.13428327649956395
+        assert beta + (fitter.BETA_FLOOR - beta) < fitter.BETA_FLOOR
+        calls = []
+
+        def objective(theta):
+            calls.append(theta)
+            return math.inf if theta[0] < fitter.BETA_FLOOR else 0.5
+
+        start = fitter.NelderMeadResult(np.array([beta, 6.0, 30.0]), 1.0, 10, True)
+        polished = fitter._polish(
+            objective, lambda *theta: (np.eye(3), np.array([1.0, 0.0, 0.0])),
+            start, np.full(3, 1e-6), 1e-8, 1000, True)
+        assert calls[0][0] == fitter.BETA_FLOOR
+        assert polished.x.tolist() == [fitter.BETA_FLOOR, 6.0, 30.0]
+        assert polished.value == 0.5
+
     def test_no_restarts_never_polish(self, small_window, monkeypatch):
         def polish(*args):
             raise AssertionError("polished with restarts=0")
@@ -921,6 +980,41 @@ BETA_LINE = SearchBounds((0.0, 0.0, 1.0), (1.0, 20.0, 260.0),
                          min_width_beta=0.1, min_width_omega=20.0)
 
 
+class TestOutsideTheDomain:
+    def test_a_seed_outside_the_domain_is_cut_at_the_seed(self, small_window,
+                                                          monkeypatch):
+        # +inf from beta 0.5 up and a bowl at beta 0.2 below: each seed from
+        # 0.5 up ends at its first call, and its box is cut there, so the
+        # boxes above 0.5 are walked down to the minimum width
+        def objective(theta):
+            return math.inf if theta[0] >= 0.5 else bowl((0.2, 10.0, 130.5))(theta)
+
+        search_objective(monkeypatch, objective,
+                         bowl_system(np.array([0.2, 10.0, 130.5])))
+        calls = counting_objective_calls(monkeypatch)
+        seeds = recording_seeds(monkeypatch)
+        [fit] = recursive_seed_search(small_window, bounds=BETA_LINE, settings=LIGHT)
+        assert fit.params.beta == pytest.approx(0.2, abs=1e-3)
+        assert fit.seed_used == (0.25, 10.0, 130.5)
+        outside = [seed for seed in seeds if seed[0] >= 0.5]
+        assert sorted(seed[0] for seed in outside) == [0.5 + k / 16 for k in range(8)]
+        assert all(run == [list(seed)] for seed, run in zip(
+            seeds, calls_by_seed(calls, seeds)) if seed in outside)
+
+    def test_a_search_with_every_seed_outside_the_domain_keeps_no_fit(
+            self, small_window, monkeypatch):
+        search_objective(monkeypatch, lambda theta: math.inf, lambda *theta: None)
+        calls = counting_objective_calls(monkeypatch)
+        seeds = recording_seeds(monkeypatch)
+        with pytest.raises(DataError) as failure:
+            recursive_seed_search(small_window, bounds=BETA_LINE, settings=LIGHT)
+        assert len(seeds) == 15
+        assert calls == [list(seed) for seed in seeds]
+        assert str(failure.value) == (
+            "the search kept no fit: 15 seeds searched, 0 abandoned past beta "
+            "2.0, 0 stalled, 15 outside the domain")
+
+
 class TestStopAtAKeptFit:
     def test_a_later_seed_stops_at_the_kept_fit(self, small_window,
                                                 monkeypatch):
@@ -981,7 +1075,7 @@ class TestStopAtAKeptFit:
         assert len(seeds) > 2
         assert str(failure.value) == (
             f"the search kept no fit: {len(seeds)} seeds searched, "
-            f"0 abandoned past beta 2.0, 0 stalled")
+            f"0 abandoned past beta 2.0, 0 stalled, 0 outside the domain")
 
 
 def idle_runs(calls: list, objective, f_tol: float) -> list:
@@ -1012,7 +1106,8 @@ class TestStall:
         runs = idle_runs(calls, valley, f_tol)
         assert max(runs) == runs[-1] == settings.stall_evals
         assert str(failure.value) == ("the search kept no fit: 1 seeds searched, "
-                                      "0 abandoned past beta 2.0, 1 stalled")
+                                      "0 abandoned past beta 2.0, 1 stalled, "
+                                      "0 outside the domain")
 
     def test_a_stalled_box_is_cut_at_its_lowest_point(self, small_window,
                                                       monkeypatch):
@@ -1042,10 +1137,13 @@ class TestStall:
     def test_a_search_that_keeps_no_fit_counts_each_reason(self, small_window,
                                                            monkeypatch):
         # the first seed searches a bowl at beta 3 and is abandoned past the
-        # ceiling; every later seed searches the valley and stalls
+        # ceiling; the second is outside the domain; every later seed
+        # searches the valley and stalls
         seeds = recording_seeds(monkeypatch)
 
         def objective(theta):
+            if len(seeds) == 2:
+                return math.inf
             return bowl((3.0, 10.0, 130.5))(theta) if len(seeds) < 2 else valley(theta)
 
         search_objective(monkeypatch, objective, lambda *theta: None)
@@ -1055,7 +1153,8 @@ class TestStall:
         assert len(seeds) > 2
         assert str(failure.value) == (
             f"the search kept no fit: {len(seeds)} seeds searched, "
-            f"1 abandoned past beta 2.0, {len(seeds) - 1} stalled")
+            f"1 abandoned past beta 2.0, {len(seeds) - 2} stalled, "
+            "1 outside the domain")
 
     def test_polish_calls_count_toward_the_stall(self, small_window, monkeypatch):
         # the system points at a far-off minimum, so the polish refuses
@@ -1079,7 +1178,7 @@ class TestStall:
         [start] = polished_from
         limit = max(runs[:start]) + 1
         assert runs[-1] >= limit
-        with pytest.raises(DataError, match=", 1 stalled$"):
+        with pytest.raises(DataError, match=", 1 stalled, 0 outside the domain$"):
             recursive_seed_search(small_window, bounds=ONE_SEED,
                                   settings=dataclasses.replace(LIGHT, stall_evals=limit))
 

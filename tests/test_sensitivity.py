@@ -51,11 +51,8 @@ def reoptimized_one_by_one(fit, window, spec, max_evals):
                 full[slot] = v
             return objective(full)
 
-        try:
-            r = nelder_mead(reduced, [point[i] for i in free], x_tol=REOPT_X_TOL,
-                            f_tol=REOPT_F_TOL, max_evals=max_evals).value
-        except UsageError:
-            r = math.inf
+        r = nelder_mead(reduced, [point[i] for i in free], x_tol=REOPT_X_TOL,
+                        f_tol=REOPT_F_TOL, max_evals=max_evals).value
         out.append(r if math.isfinite(r) else None)
     return out
 

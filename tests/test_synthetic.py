@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from bubblefit import (
+    CrashConfig,
     GenerationError,
     GeneratorSpec,
     Scale,
+    ScanSpec,
     UsageError,
     generate,
     rmse,
@@ -71,6 +73,22 @@ class TestGenerate:
             GeneratorSpec(canonical_params(), 5, 0.0, 1)
         with pytest.raises(UsageError):
             GeneratorSpec(canonical_params(), 50, -1.0, 1)
+
+
+# a float, fractional or whole, or a bool in an integer field is refused
+# where the object is made, naming the field
+@pytest.mark.parametrize("field, make", [
+    ("lookback_weekdays", lambda: CrashConfig(lookback_weekdays=20.5)),
+    ("lookback_weekdays", lambda: CrashConfig(lookback_weekdays=True)),
+    ("min_bubble_weekdays", lambda: CrashConfig(min_bubble_weekdays=131.0)),
+    ("steps", lambda: ScanSpec("beta", 0.3, 0.1, steps=5.0).grid()),
+    ("n_weekdays", lambda: generate(GeneratorSpec(canonical_params(), 320.9))),
+    ("rng_seed", lambda: GeneratorSpec(canonical_params(), 320, 0.0, True)),
+], ids=["fractional_lookback", "bool_lookback", "whole_float_bubble",
+        "float_scan_steps", "fractional_count", "bool_rng_seed"])
+def test_an_integer_field_takes_only_an_int(field, make):
+    with pytest.raises(UsageError, match=f"^{field} must be an"):
+        make()
 
 
 def _curve_values(params, series):
