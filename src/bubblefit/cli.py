@@ -97,9 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help='seed-bound overrides for beta, omega and t2c, e.g. '
                         '\'{"beta": [0, 2, 0.2], "t2c": [1, 260]}\' (third '
                         "entry = minimum width for beta/omega); the bounds "
-                        "place the seeds, and a seed whose simplex passes "
-                        f"beta {BETA_CEILING}, or that is outside the "
-                        "model's domain, ends without a fit")
+                        "place the seeds, and a seed whose search passes "
+                        f"beta {BETA_CEILING} or a t2c horizon (the larger "
+                        "of the window's span in days and the upper t2c), "
+                        "or that is outside the model's domain, ends "
+                        "without a fit")
     p.add_argument("--precursor-beta", type=float, nargs=2, metavar=("LO", "HI"),
                    default=PrecursorRanges.beta_range,
                    help="beta range for precursor classification "

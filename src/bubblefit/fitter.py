@@ -1,39 +1,46 @@
 """Search over the nonlinear parameters (beta, omega, t2c, phi).
 
 The phase is solved in closed form with the linear parameters (see
-`lppl`), so each simplex runs over (beta, omega, t2c) only. The search
-recursively partitions the (beta, omega) seed box: run a Nelder-Mead
-simplex from the box midpoint in (beta, omega, t2c), polish its best
-point with damped Gauss-Newton (Levenberg-Marquardt) steps on the
-variable-projection system of `lppl.WindowSolver.gauss_newton`, span a
-hypercube in (beta, omega) between the seed and its solution, then
-recurse into the space below and above that hypercube on each dimension
-while at least the minimum width remains. The simplex is not bounded by
-the seed box. A seed's search ends for one of six reasons, and its box
-is then cut at the point it ended at:
+`lppl`), so each search runs over (beta, omega, t2c) only. The search
+recursively partitions the (beta, omega) seed box: from the box midpoint
+in (beta, omega, t2c), take damped Gauss-Newton (Levenberg-Marquardt)
+steps on the variable-projection system of
+`lppl.WindowSolver.gauss_newton`; where they do not converge, run a
+Nelder-Mead simplex from their end point and polish its best point with
+them again. Then span a hypercube in (beta, omega) between the seed and
+its solution, and recurse into the space below and above that hypercube
+on each dimension while at least the minimum width remains. Neither the
+polish nor the simplex is bounded by the seed box. A seed's search ends
+for one of seven reasons, and its box is then cut at the point it ended
+at:
 - "ceiling": its best point passes BETA_CEILING. Past it the fit drifts
   until the b-floor rule stops it, at a point set by that rule and not
   by the data.
+- "horizon": its best point's t2c passes the horizon, the larger of the
+  window's span in days and the seed box's upper t2c. The window's data
+  set no critical time further past its end than the window is long;
+  the box's upper t2c keeps every seed the box places.
 - "kept": its best point comes within DEDUP_TOL of the point an earlier
   seed ended at in (beta, |omega|, t2c); it would end on the same fit.
 - "stall": its search stops gaining, as in a valley with no finite
   minimizer (see `SearchSettings`); it ends at its lowest point.
 - "domain": the objective is not finite at the seed (beta <= 0, t2c
   below 1 day, or a rule of `lppl.WindowSolver` such as the b-floor).
-- "edge": its polish ends not converged at the edge of the domain (below
-  BETA_FLOOR, in the beta -> 0 valley, or on the t2c = 1 day bound), at
-  a point set by that edge and not by the data. Its solution is
-  reported only if no seed ends at "fit", the reason of every other seed.
-None of the first four yields a solution. The simplex and the polish
-try every point through one objective, which applies "ceiling", "kept"
-and "stall". The boxes overlap (the box below on beta spans every omega
-and the one below on omega every beta), so a midpoint can come up again;
-a seed search is a pure function of the seed, so each distinct seed is
-searched once and a repeated box is cut at the stored point. Each
-solution takes phi from atan2 at its point; every solution is
-canonicalized and ranked by RMSE. No two solutions lie within DEDUP_TOL
-of each other: a seed's end point was a new lowest value of its search
-when it was tried, and was then compared with every earlier end point.
+- "edge": its last polish ends not converged at the edge of the domain
+  (below BETA_FLOOR, in the beta -> 0 valley, or on the t2c = 1 day
+  bound), at a point set by that edge and not by the data. Its solution
+  is reported only if no seed ends at "fit", the reason of every other
+  seed.
+None of the first five yields a solution. The polishes and the simplex
+try every point through one objective, which applies those five. The
+boxes overlap (the box below on beta spans every omega and the one below
+on omega every beta), so a midpoint can come up again; a seed search is
+a pure function of the seed, so each distinct seed is searched once and
+a repeated box is cut at the stored point. Each solution takes phi from
+atan2 at its point; every solution is canonicalized and ranked by RMSE.
+No two solutions lie within DEDUP_TOL of each other: a seed's end point
+was a new lowest value of its search when it was tried, and was then
+compared with every earlier end point.
 
 Canonical form: omega >= 0 and phi in [0, pi). A negative omega maps
 through cos(-w*x + p) = cos(w*x - p), and a phase in [pi, 2*pi) drops by
@@ -72,9 +79,9 @@ BOUNDARY_MARGIN = {"beta": 0.01, "omega": 0.01}
 # the beta floor of paper mode and of the default mode's constrained best
 BETA_FLOOR = 0.01
 
-# a seed search is abandoned once its simplex's best vertex passes this
-# beta: past it the fit drifts to the b-floor (|b| of 1e-12 of the data
-# scale), far from any fit the beta < 1 rule would keep
+# a seed search is abandoned once its best point passes this beta: past
+# it the fit drifts to the b-floor (|b| of 1e-12 of the data scale), far
+# from any fit the beta < 1 rule would keep
 BETA_CEILING = 2.0
 
 # the Levenberg-Marquardt damping of `_polish`: its start, its factor per
@@ -112,10 +119,11 @@ class PrecursorRanges:
 class SearchBounds:
     """Seed bounds for (beta, omega, t2c) and the recursion minimum widths.
 
-    The bounds place the seeds; a simplex may leave them. A seed whose
-    simplex passes beta BETA_CEILING ends without a fit whatever the
+    The bounds place the seeds; a seed's search may leave them. A seed
+    whose search passes beta BETA_CEILING ends without a fit whatever the
     bounds, as does a seed outside the objective's domain, so a box above
-    the ceiling yields no fit.
+    the ceiling yields no fit. The upper t2c also bounds the search's t2c
+    horizon from below (see the module docstring).
     """
 
     lower: tuple[float, float, float] = (0.0, 0.0, 1.0)
@@ -147,11 +155,13 @@ class SearchBounds:
 class SearchSettings:
     """Search tolerances; x_tol_rel is scaled by each seed-bound width and
     f_tol_rel by the window's value spread. `stall_evals` abandons a seed
-    whose search (simplex and polish) makes that many objective calls
+    whose search (polishes and simplex) makes that many objective calls
     without getting more than f_tol below its last such gain. `restarts` 1
-    polishes the best point of each seed's simplex with one Gauss-Newton
-    (Levenberg-Marquardt) run, and 0 polishes none. A system build counts
-    against `max_evals` as one evaluation, but is no objective call."""
+    starts each seed with a Gauss-Newton (Levenberg-Marquardt) polish
+    and, where that does not converge, runs a simplex from its end point
+    and polishes the simplex's best point once more; 0 runs the simplex
+    alone, from the seed. A system build counts against `max_evals` as one
+    evaluation, but is no objective call."""
 
     x_tol_rel: float = 1e-6
     f_tol_rel: float = 1e-8
@@ -463,27 +473,39 @@ class _SeedStopped(Exception):
 
 def _search_from_seed(objective, seed, x_tol, f_tol, settings: SearchSettings,
                       system, floor_beta: bool) -> tuple[NelderMeadResult, bool]:
-    """One simplex run, then (with `settings.restarts` 1 and budget left)
-    one Gauss-Newton polish from its best point within the per-seed
-    budget; and whether the seed ended at "edge": its polish ended not
-    converged below BETA_FLOOR or within x_tol of the t2c = 1 day bound.
-    No damped step there lowers the value and stays in the domain (t2c >=
-    1, beta > 0 and, in the beta -> 0 valley, the collinear rule, where
-    the kernel's rounding sets the last admissible values). Raises
-    _SeedStopped at "domain" for a seed whose value is not finite; the
-    search's objective raises it at "ceiling", "kept" and "stall"."""
-    best = nelder_mead(objective, seed, x_tol=x_tol, f_tol=f_tol,
-                       max_evals=settings.max_evals)
-    if best.value == math.inf:
-        raise _SeedStopped(best.x, "domain")
-    remaining = settings.max_evals - best.evaluations
+    """A seed's search within the per-seed budget, and whether it ended at
+    "edge". With `settings.restarts` 1 a Gauss-Newton polish runs from the
+    seed, and its end is the outcome if it converged; if not, a simplex
+    runs from its end point and one more polish from the simplex's best.
+    With `restarts` 0 the simplex runs alone, from the seed.
+
+    The seed is at "edge" where its last polish ended not converged below
+    BETA_FLOOR or within x_tol of the t2c = 1 day bound. No damped step
+    there lowers the value and stays in the domain (t2c >= 1, beta > 0
+    and, in the beta -> 0 valley, the collinear rule, where the kernel's
+    rounding sets the last admissible values). The search's objective
+    raises _SeedStopped at "domain", "ceiling", "horizon", "kept" and
+    "stall"."""
+    start, spent = seed, 0
+    if settings.restarts:
+        seeded = NelderMeadResult(seed, objective(seed.tolist()), 1, False)
+        polished = _polish(objective, system, seeded, x_tol, f_tol,
+                           settings.max_evals - 1, floor_beta)
+        spent = 1 + polished.evaluations
+        if polished.converged:
+            return polished._replace(evaluations=spent), False
+        start = polished.x
+    best = nelder_mead(objective, start, x_tol=x_tol, f_tol=f_tol,
+                       max_evals=settings.max_evals - spent)
+    spent += best.evaluations
+    remaining = settings.max_evals - spent
     if not settings.restarts or remaining <= 0:
-        return best, False
+        return best._replace(evaluations=spent), False
     polished = _polish(objective, system, best, x_tol, f_tol, remaining,
                        floor_beta)
     beta, _, t2c = polished.x.tolist()
     edge = not polished.converged and (beta < BETA_FLOOR or t2c - 1.0 <= x_tol[2])
-    return polished._replace(evaluations=best.evaluations + polished.evaluations,
+    return polished._replace(evaluations=spent + polished.evaluations,
                              converged=best.converged or polished.converged), edge
 
 
@@ -608,13 +630,13 @@ def recursive_seed_search(
     Each distinct seed is searched once: a box whose midpoint was already
     searched is cut where that search was and adds no second solution (it
     would be an exact copy). Each seed ends for one of the reasons the
-    module docstring lists. A seed's search, its simplex and its polish,
-    ends at "ceiling" or "kept" at the first point whose value is below
-    every value that search has seen and that either has beta above
-    BETA_CEILING or lies within DEDUP_TOL of the point an earlier seed
-    ended at, compared in (beta, |omega|, t2c) (phi is solved at each
-    point, and the phase-solved value is even in omega). So no two
-    results lie within DEDUP_TOL of each other.
+    module docstring lists. A seed's search, its polishes and its simplex,
+    ends at "ceiling", "horizon" or "kept" at the first point whose value
+    is below every value that search has seen and that has beta above
+    BETA_CEILING, has t2c past the horizon or lies within DEDUP_TOL of the
+    point an earlier seed ended at, compared in (beta, |omega|, t2c) (phi
+    is solved at each point, and the phase-solved value is even in
+    omega). So no two results lie within DEDUP_TOL of each other.
     Results are canonicalized and sorted by RMSE ascending with
     lexicographic (beta, omega, t2c, phi) tie-breaking, so identical
     inputs always produce identical output.
@@ -624,13 +646,16 @@ def recursive_seed_search(
     step that would cross it holds beta at the floor.
 
     Raises DataError, counting the seeds searched and those that ended at
-    "ceiling", "stall" and "domain", when the search keeps no fit.
+    "ceiling", "horizon", "stall" and "domain", when the search keeps no
+    fit.
     """
     if len(window) < 10:
         raise UsageError("need at least 10 observations for a 7-parameter fit")
     base_objective = window_objective(window)
     solver = WindowSolver(window)
     x_tol, f_tol = _fit_tolerances(window, bounds, settings)
+    # the t2c horizon (see the module docstring)
+    horizon = max(solver.age_max, bounds.upper[2])
     # the running seed's lowest value and its point, the value a call gains
     # below (f_tol under the last gain) and the calls since the last gain
     lowest, lowest_at, bar, idle = math.inf, None, math.inf, 0
@@ -646,12 +671,16 @@ def recursive_seed_search(
             beta, omega, t2c = theta
             if beta > BETA_CEILING:
                 raise _SeedStopped(np.array(theta), "ceiling")
+            if t2c > horizon:
+                raise _SeedStopped(np.array(theta), "horizon")
             omega = abs(omega)
             for b, w, t in found:
                 if (abs(beta - b) < beta_tol and abs(omega - w) < omega_tol
                         and abs(t2c - t) < t2c_tol):
                     raise _SeedStopped(np.array(theta), "kept")
             lowest, lowest_at = value, theta
+        elif lowest == math.inf:  # the search's first call is its seed
+            raise _SeedStopped(np.array(theta), "domain")
         if value < bar:
             bar, idle = value - f_tol, 0
         else:
@@ -708,7 +737,7 @@ def recursive_seed_search(
     # curve is unchanged but the kernel solves again with that phase held so
     # value and parameters stay consistent (solutions whose basis is
     # numerically degenerate after the ulp-level phase shift are dropped)
-    # no beta floor re-check: the best vertex is finite, canonicalizing keeps beta
+    # no beta floor re-check: the best point is finite, canonicalizing keeps beta
     reasons = [reason for _, reason, _ in ends.values()]
     reported = "fit" if "fit" in reasons else "edge"
     fits = []
@@ -726,7 +755,8 @@ def recursive_seed_search(
     if not fits:
         raise DataError(f"the search kept no fit: {len(ends)} seeds searched, "
                         f"{reasons.count('ceiling')} abandoned past beta "
-                        f"{BETA_CEILING}, {reasons.count('stall')} stalled, "
+                        f"{BETA_CEILING}, {reasons.count('horizon')} past the "
+                        f"horizon, {reasons.count('stall')} stalled, "
                         f"{reasons.count('domain')} outside the domain")
     return sorted(fits, key=lambda fit: (fit.diagnostics.rmse, fit.params.theta()))
 

@@ -16,7 +16,7 @@ Given only (beta, omega, t2c), the phase is linear too (Filimonov &
 Sornette 2013): b c f cos(omega ln(tc-t) + phi) equals
 C1 f cos(omega ln(tc-t)) + C2 f sin(omega ln(tc-t)), so regress y on
 {1, f, f cos(omega ln(tc-t)), f sin(omega ln(tc-t))} and recover
-phi = atan2(-C2, C1) and b c = hypot(C1, C2). The fitter's simplex runs
+phi = atan2(-C2, C1) and b c = hypot(C1, C2). The fitter's search runs
 over these three parameters; both regressions share one kernel.
 
 The kernel is one object per window, `WindowSolver`, whose `solve` is the
@@ -26,7 +26,7 @@ objective the simplexes minimize (+inf outside the domain), and
 `linear_solve` raises DegeneracyError naming the collinear pair. With
 the phase solved, `WindowSolver.gauss_newton` gives the Gauss-Newton
 system of the SSE in (beta, omega, t2c) from `solve`'s buffers; the
-fitter polishes each simplex's end with it.
+fitter starts each seed's search with it.
 
 The kernel builds its oscillation columns without cos and sin: with
 psi the angle (omega ln(tc-t), plus phi when the phase is held),
@@ -340,11 +340,16 @@ class WindowSolver:
         the residual e = yhat - y is a function of (beta, omega, t2c)
         alone. From `solve`'s buffers, with g = yhat - a and h = C2 f
         cos(psi) - C1 f sin(psi), the model's derivative rows are Z =
-        [ln tau g; ln tau h; (beta g + omega h) / tau]. One gemm gives
-        Z X^T, Z Z^T and Z e; then J^T e = Z e, which is exactly half the
-        SSE's gradient (e is orthogonal to the design rows X), and J^T J =
-        Z Z^T - Z X^T G^-1 X Z^T with G = X X^T. It is formed as the Gram
-        of J = Z - M X, with M = (G^-1 X Z^T)^T from `_ldlt`.
+        [ln tau g; ln tau h; (beta g + omega h) / tau]. A gemm against
+        [X; Z; e] gives Z X^T, and `_ldlt` M = (G^-1 X Z^T)^T with G =
+        X X^T. The projected Jacobian is J = Z - M X, and a second gemm
+        gives J^T J as J's Gram (Z Z^T - Z X^T G^-1 X Z^T in exact
+        arithmetic) and J^T e = J e, exactly half the SSE's gradient. In
+        exact arithmetic J e = Z e, as e is orthogonal to the design rows
+        X. In floating point X e is the linear solve's rounding, and Z e =
+        J e + M X e; near the beta -> 0 valley, where Z's beta row lies
+        almost in the span of X and M is large, M X e outweighs the
+        gradient's beta entry.
         """
         solved = self.solve(beta, omega, t2c)
         if solved is None:
@@ -368,7 +373,6 @@ class WindowSolver:
         g *= lg
         h *= lg
         np.dot(z, z_rows, out=product)
-        jte = product[:, 7].copy()
         for q, row in views:               # M, a row at a time
             _ldlt(gram, q, 4, math.sqrt, row)
         # J = Z - M X, whose Gram is PSD as computed; Z Z^T - Z X^T M^T,
@@ -377,7 +381,7 @@ class WindowSolver:
         z -= mx
         np.dot(z, z_rows, out=product)
         jtj = product[:, 4:7]
-        return 0.5 * (jtj + jtj.T), jte
+        return 0.5 * (jtj + jtj.T), product[:, 7].copy()
 
     def _reject(self, cause: str) -> None:
         self.failure = cause

@@ -346,8 +346,9 @@ class TestFitCommand:
         for entry in index:
             assert entry["fit"] is None
             assert re.fullmatch(r"DataError: the search kept no fit: (\d+) seeds "
-                                r"searched, \1 abandoned past beta 0\.0, 0 stalled, "
-                                r"0 outside the domain", entry["fit_error"])
+                                r"searched, \1 abandoned past beta 0\.0, 0 past the "
+                                r"horizon, 0 stalled, 0 outside the domain",
+                                entry["fit_error"])
         assert (out / "manifest.json").exists()
         assert "Traceback" not in capsys.readouterr().err
 
@@ -484,8 +485,9 @@ class TestErrorHandling:
                    "--out", str(out)) == 2
         index = json.loads((out / "fit_index.json").read_text())
         assert re.fullmatch(r"DataError: the search kept no fit: (\d+) seeds "
-                            r"searched, 0 abandoned past beta 2\.0, 0 stalled, "
-                            r"\1 outside the domain", index[0]["fit_error"])
+                            r"searched, 0 abandoned past beta 2\.0, 0 past the "
+                            r"horizon, 0 stalled, \1 outside the domain",
+                            index[0]["fit_error"])
 
     def test_paper_mode_seed_box_below_the_beta_floor(self, crash_csv, tmp_path):
         # the box's beta midpoint 0.005 is below BETA_FLOOR, where the

@@ -454,8 +454,10 @@ class TestRecursiveSeedSearch:
     @pytest.mark.parametrize("flagged", ["second", "every"])
     def test_a_fit_at_the_edge_is_reported_only_if_no_other_is_kept(
             self, small_window, monkeypatch, flagged):
-        # marking seeds as ended at the edge changes the report alone: the
-        # same seeds are searched, and later seeds still stop at their points
+        # two fits, as the first seed keeps a bowl's minimum at beta 0.7 and
+        # the second one moved to beta 0.3: marking seeds as ended at the
+        # edge changes the report alone, the same seeds are searched, and
+        # later seeds still stop at their points
         search_from_seed = fitter._search_from_seed
         seeds, at_edge = [], set()
 
@@ -465,7 +467,8 @@ class TestRecursiveSeedSearch:
             return outcome, edge or seeds[-1] in at_edge
 
         monkeypatch.setattr(fitter, "_search_from_seed", flagging)
-        plain = recursive_seed_search(small_window, bounds=LIGHT_BOUNDS,
+        bowl_objective(monkeypatch, 0.7, moved=(0.3, 10.0, 130.5), seeds=seeds)
+        plain = recursive_seed_search(small_window, bounds=BETA_LINE,
                                       settings=LIGHT)
         plain_seeds = seeds[:]
         assert len(plain) == 2
@@ -476,7 +479,7 @@ class TestRecursiveSeedSearch:
             at_edge.update(f.seed_used for f in plain)
             expected = plain
         seeds.clear()
-        fits = recursive_seed_search(small_window, bounds=LIGHT_BOUNDS,
+        fits = recursive_seed_search(small_window, bounds=BETA_LINE,
                                      settings=LIGHT)
         assert seeds == plain_seeds
         assert [f.to_dict() for f in fits] == [f.to_dict() for f in expected]
@@ -704,17 +707,18 @@ def near_fit(theta, fit) -> bool:
                zip(point, fit.params.theta(), fitter.DEDUP_TOL))
 
 
-def assert_stopped_at_first_low_near(calls: list, objective, fit) -> None:
-    """The calls end at the first new lowest value that lies near the fit."""
+def assert_stopped_at_first_low(calls: list, objective, stops) -> None:
+    """The calls end at the first new lowest value at a point where
+    `stops(theta)` holds."""
     lowest = math.inf
     for i, theta in enumerate(calls):
         value = objective(theta)
         if value < lowest:
             lowest = value
-            if near_fit(theta, fit):
+            if stops(theta):
                 assert i == len(calls) - 1
                 return
-    pytest.fail("the search never reached the fit")
+    pytest.fail("the search never reached a stop point")
 
 
 class TestBetaCeiling:
@@ -731,16 +735,19 @@ class TestBetaCeiling:
         recursive_seed_search(chain_window(0), COARSE_BOUNDS)
         # 9,703 calls while every seed was searched to its end, 4,894 while
         # a seed that reached a kept fit still ran to its end, 3,695 while
-        # each restart ran a new simplex (3,126 calls and 3 builds since)
+        # each restart ran a new simplex, 3,129 while every seed started
+        # with the simplex (372 calls and 190 builds since)
         assert len(calls) <= 0.8 * 9703
         assert len(calls) <= 0.85 * 4894
         assert len(calls) + len(builds) <= 0.9 * 3695
+        assert len(calls) + len(builds) <= 0.5 * 3129
 
     def test_a_probe_past_the_ceiling_keeps_the_seed(self, small_window,
                                                       monkeypatch):
-        # a bowl at beta 1.9: the simplex tries points past beta 2, but its
-        # best vertex never passes it
-        bowl_objective(monkeypatch, 1.9)
+        # a bowl at beta 1.9 with no system, so the simplex runs from the
+        # seed: it tries points past beta 2, but its best vertex never
+        # passes it
+        search_objective(monkeypatch, bowl((1.9, 10.0, 130.5)), lambda *theta: None)
         calls = counting_objective_calls(monkeypatch)
         bounds = SearchBounds(min_width_beta=2.0, min_width_omega=20.0)
         fits = recursive_seed_search(small_window, bounds=bounds, settings=LIGHT)
@@ -773,7 +780,8 @@ class TestBetaCeiling:
         assert calls == [list(seed) for seed in seeds]
         assert str(failure.value) == (
             f"the search kept no fit: {len(seeds)} seeds searched, "
-            f"{len(seeds)} abandoned past beta 2.0, 0 stalled, 0 outside the domain")
+            f"{len(seeds)} abandoned past beta 2.0, 0 past the horizon, 0 stalled, "
+            "0 outside the domain")
 
     @pytest.mark.parametrize("k", range(len(CHAIN)))
     def test_fits_below_beta_one_are_kept(self, k):
@@ -931,7 +939,7 @@ class TestPolish:
         assert at_edge
 
     @pytest.mark.parametrize("simplex_evals, system_minima, edge", [
-        (None, [(-1.0, 10.0, 130.5)], True),
+        (None, [None, (-1.0, 10.0, 130.5)], True),
         (None, [(0.005, 10.0, 130.5)], False),
         (60, [(0.005, 10.0, 130.5), (-1.0, 10.0, 130.5)], True),
     ], ids=["system_past_zero", "exact_system", "step_then_past_zero"])
@@ -940,9 +948,12 @@ class TestPolish:
         # the value's minimum lies at beta 0.005; a system pointing below
         # beta = 0, as the rounding in the beta -> 0 valley gives, lets the
         # polish take no step, and the exact system lets it take one. In the
-        # third case the simplex stops after 60 calls, away from the minimum;
-        # the polish steps to it on the exact system, then can take no step
-        # on the next system, which points below beta = 0
+        # first case no system is built at the seed, so the simplex runs
+        # from it, and the polish after it can take no step. In the second
+        # the polish from the seed converges on the minimum. In the third it
+        # steps to the minimum on the exact system, then can take no step on
+        # the next one; the simplex from there stops after 60 calls, and the
+        # polish after it can take no step either
         if simplex_evals is not None:
             simplex = fitter.nelder_mead
             monkeypatch.setattr(fitter, "nelder_mead", lambda *args, **kwargs:
@@ -952,7 +963,7 @@ class TestPolish:
         def system(*theta):
             builds.append(theta)
             minimum = system_minima[min(len(builds), len(system_minima)) - 1]
-            return bowl_system(np.array(minimum))(*theta)
+            return None if minimum is None else bowl_system(np.array(minimum))(*theta)
 
         minimum = (0.005, 10.0, 130.5)
         x_tol, f_tol = _fit_tolerances(small_window, SearchBounds(), SearchSettings())
@@ -1012,7 +1023,132 @@ class TestOutsideTheDomain:
         assert calls == [list(seed) for seed in seeds]
         assert str(failure.value) == (
             "the search kept no fit: 15 seeds searched, 0 abandoned past beta "
-            "2.0, 0 stalled, 15 outside the domain")
+            "2.0, 0 past the horizon, 0 stalled, 15 outside the domain")
+
+    def test_a_seed_outside_the_domain_is_not_a_stall(self, small_window):
+        # every seed of this box fails the b-floor rule at its first call,
+        # which ends it at "domain" before a stall after one call can
+        bounds = SearchBounds((20.0, 0.0, 1.0), (60.0, 20.0, 260.0), 4.0, 5.0)
+        with pytest.raises(DataError, match=", 0 stalled, 105 outside the domain$"):
+            recursive_seed_search(small_window, bounds=bounds,
+                                  settings=SearchSettings(stall_evals=1))
+
+
+def recording_polishes(monkeypatch) -> list:
+    """Record the outcome of every polish, in order."""
+    polished = []
+    polish = fitter._polish
+
+    def recording(*args):
+        polished.append(polish(*args))
+        return polished[-1]
+
+    monkeypatch.setattr(fitter, "_polish", recording)
+    return polished
+
+
+class TestPolishFirst:
+    def test_a_seed_whose_polish_converges_runs_no_simplex(self, small_window,
+                                                          monkeypatch):
+        def simplex(*args, **kwargs):
+            raise AssertionError("ran the simplex")
+
+        monkeypatch.setattr(fitter, "nelder_mead", simplex)
+        polished = recording_polishes(monkeypatch)
+        minimum = np.array([0.5, 10.0, 130.5])
+        x_tol, f_tol = _fit_tolerances(small_window, SearchBounds(), SearchSettings())
+        outcome, at_edge = fitter._search_from_seed(
+            walled(minimum), np.array([0.4, 12.0, 100.0]), x_tol, f_tol,
+            SearchSettings(), bowl_system(minimum), False)
+        [polish] = polished
+        assert polish.converged
+        assert outcome.x.tolist() == polish.x.tolist()
+        assert (outcome.value, outcome.evaluations, outcome.converged) == (
+            polish.value, 1 + polish.evaluations, True)
+        assert outcome.value < 1e-12
+        assert not at_edge
+
+    @pytest.mark.parametrize("system_minimum", [None, (0.45, 10.0, 130.5)],
+                             ids=["no_system", "system_off_the_minimum"])
+    def test_a_seed_whose_polish_does_not_converge_runs_the_simplex_from_its_end(
+            self, small_window, monkeypatch, system_minimum):
+        # the value's minimum lies at beta 0.5. With no system the polish
+        # ends at the seed; with a system whose minimum lies at beta 0.45 it
+        # steps there, then refuses every step. The simplex runs from that
+        # end point, and the evaluations of all three runs add up
+        minimum = np.array([0.5, 10.0, 130.5])
+        seed = np.array([1.0, 10.0, 130.5])
+        polished = recording_polishes(monkeypatch)
+        simplexes = []
+        simplex = fitter.nelder_mead
+
+        def recording(objective, start, **kwargs):
+            simplexes.append((start.tolist(), simplex(objective, start, **kwargs)))
+            return simplexes[-1][1]
+
+        monkeypatch.setattr(fitter, "nelder_mead", recording)
+        system = (lambda *theta: None) if system_minimum is None else bowl_system(
+            np.array(system_minimum))
+        x_tol, f_tol = _fit_tolerances(small_window, SearchBounds(), SearchSettings())
+        outcome, at_edge = fitter._search_from_seed(
+            walled(minimum), seed, x_tol, f_tol, SearchSettings(), system, False)
+        first, last = polished
+        [(start, best)] = simplexes
+        assert not first.converged
+        assert start == first.x.tolist()
+        if system_minimum is None:
+            assert start == seed.tolist()
+        else:
+            assert start[0] == pytest.approx(0.45, abs=1e-3)
+        assert outcome.evaluations == (1 + first.evaluations + best.evaluations
+                                       + last.evaluations)
+        assert outcome.x[0] == pytest.approx(0.5, abs=1e-3)
+        assert not at_edge
+
+
+class TestHorizon:
+    def test_no_fit_passes_the_horizon(self, small_window):
+        # without the horizon this search kept a second fit, at beta 0.0029,
+        # omega 60 and t2c 1,482 days: past the window's 209-day span and
+        # the box's upper t2c, 260 days
+        fits = recursive_seed_search(small_window, bounds=LIGHT_BOUNDS,
+                                     settings=LIGHT)
+        assert all(f.params.t2c <= 260.0 for f in fits)
+
+    def test_a_seed_past_the_horizon_ends_there(self, small_window, monkeypatch):
+        # a bowl at t2c 1,000 days: the horizon is the box's upper t2c, 260
+        # days, as the window spans less. Every seed ends at its first new
+        # low past it, and its box is cut there, so no later seed lies
+        # between a seed and its stop point on beta
+        assert WindowSolver(small_window).age_max < 260.0
+        minimum = (0.7, 10.0, 1000.0)
+        search_objective(monkeypatch, bowl(minimum), bowl_system(np.array(minimum)))
+        calls = counting_objective_calls(monkeypatch)
+        seeds = recording_seeds(monkeypatch)
+        with pytest.raises(DataError) as failure:
+            recursive_seed_search(small_window, bounds=BETA_LINE, settings=LIGHT)
+        assert len(seeds) > 2
+        for i, run in enumerate(calls_by_seed(calls, seeds)):
+            assert_stopped_at_first_low(run, bowl(minimum),
+                                        lambda theta: theta[2] > 260.0)
+            low, high = sorted((seeds[i][0], run[-1][0]))
+            assert not any(low < seed[0] < high for seed in seeds[i + 1:])
+        assert str(failure.value) == (
+            f"the search kept no fit: {len(seeds)} seeds searched, 0 abandoned "
+            f"past beta 2.0, {len(seeds)} past the horizon, 0 stalled, "
+            "0 outside the domain")
+
+    def test_a_window_shorter_than_the_box_keeps_a_fit(self):
+        # a 20-weekday window spans 27 days, less than the seeds' t2c of
+        # 130.5; the box's upper t2c sets the horizon, so the seeds are
+        # searched and the planted fit is kept
+        window = window_of(generate(GeneratorSpec(canonical_params(), n_weekdays=20,
+                                                  noise_sigma=0.0, rng_seed=2)))
+        assert WindowSolver(window).age_max < 130.5
+        fits = recursive_seed_search(window, bounds=LIGHT_BOUNDS, settings=LIGHT)
+        assert fits[0].params.theta()[:3] == pytest.approx((0.33, 6.36, 30.0),
+                                                           rel=1e-4)
+        assert all(f.params.t2c <= 260.0 for f in fits)
 
 
 class TestStopAtAKeptFit:
@@ -1031,7 +1167,8 @@ class TestStopAtAKeptFit:
         assert len(seeds) > 2
         runs = calls_by_seed(calls, seeds)
         for i, run in enumerate(runs[1:], start=1):
-            assert_stopped_at_first_low_near(run, bowl((0.7, 10.0, 130.5)), fit)
+            assert_stopped_at_first_low(run, bowl((0.7, 10.0, 130.5)),
+                                        lambda theta: near_fit(theta, fit))
             low, high = sorted((seeds[i][0], run[-1][0]))
             assert not any(low < seed[0] < high for seed in seeds[i + 1:])
 
@@ -1060,7 +1197,8 @@ class TestStopAtAKeptFit:
                                       settings=LIGHT)
         assert fit.seed_used == seeds[0]
         stopped = calls_by_seed(calls, seeds)[1]
-        assert_stopped_at_first_low_near(stopped, bowl(moved), fit)
+        assert_stopped_at_first_low(stopped, bowl(moved),
+                                    lambda theta: near_fit(theta, fit))
         assert stopped[-1][1] < 0.0
 
     def test_stopped_seeds_are_not_counted_as_abandoned(self, small_window,
@@ -1075,7 +1213,8 @@ class TestStopAtAKeptFit:
         assert len(seeds) > 2
         assert str(failure.value) == (
             f"the search kept no fit: {len(seeds)} seeds searched, "
-            f"0 abandoned past beta 2.0, 0 stalled, 0 outside the domain")
+            "0 abandoned past beta 2.0, 0 past the horizon, 0 stalled, "
+            "0 outside the domain")
 
 
 def idle_runs(calls: list, objective, f_tol: float) -> list:
@@ -1106,22 +1245,28 @@ class TestStall:
         runs = idle_runs(calls, valley, f_tol)
         assert max(runs) == runs[-1] == settings.stall_evals
         assert str(failure.value) == ("the search kept no fit: 1 seeds searched, "
-                                      "0 abandoned past beta 2.0, 1 stalled, "
-                                      "0 outside the domain")
+                                      "0 abandoned past beta 2.0, 0 past the "
+                                      "horizon, 1 stalled, 0 outside the domain")
 
     def test_a_stalled_box_is_cut_at_its_lowest_point(self, small_window,
                                                       monkeypatch):
         # the first seed, at beta 0.6, stalls in the valley; the next is the
         # midpoint of the box below its lowest point (near beta 0.5) on
         # beta. It searches a bowl, whose values all lie above the valley's,
-        # in more than stall_evals calls, and keeps the bowl's minimum
+        # in more than stall_evals calls, and keeps the bowl's minimum. No
+        # system is built at a seed, so each search starts with the simplex
         seeds = recording_seeds(monkeypatch)
         minimum = (0.2, 10.0, 130.5)
 
         def objective(theta):
             return valley(theta) if len(seeds) < 2 else bowl(minimum)(theta)
 
-        search_objective(monkeypatch, objective, bowl_system(np.array(minimum)))
+        def system(*theta):
+            if theta == seeds[-1]:
+                return None
+            return bowl_system(np.array(minimum))(*theta)
+
+        search_objective(monkeypatch, objective, system)
         calls = counting_objective_calls(monkeypatch)
         settings = dataclasses.replace(LIGHT, stall_evals=40)
         bounds = dataclasses.replace(BETA_LINE, upper=(1.2, 20.0, 260.0))
@@ -1153,13 +1298,14 @@ class TestStall:
         assert len(seeds) > 2
         assert str(failure.value) == (
             f"the search kept no fit: {len(seeds)} seeds searched, "
-            f"1 abandoned past beta 2.0, {len(seeds) - 2} stalled, "
-            "1 outside the domain")
+            f"1 abandoned past beta 2.0, 0 past the horizon, {len(seeds) - 2} "
+            "stalled, 1 outside the domain")
 
     def test_polish_calls_count_toward_the_stall(self, small_window, monkeypatch):
-        # the system points at a far-off minimum, so the polish refuses
-        # every step; its calls lengthen the simplex's last run without an
-        # f_tol gain past the longest run within the simplex
+        # the system points at a far-off minimum, so both polishes, from the
+        # seed and after the simplex, refuse every step; the second one's
+        # calls lengthen the simplex's last run without an f_tol gain past
+        # the longest run before it
         minimum = (0.5, 10.0, 130.5)
         search_objective(monkeypatch, bowl(minimum),
                          bowl_system(np.array([100.0, 1000.0, 20000.0])))
@@ -1175,7 +1321,7 @@ class TestStall:
         [fit] = recursive_seed_search(small_window, bounds=ONE_SEED, settings=LIGHT)
         _, f_tol = _fit_tolerances(small_window, ONE_SEED, LIGHT)
         runs = idle_runs(calls, bowl(minimum), f_tol)
-        [start] = polished_from
+        [_, start] = polished_from
         limit = max(runs[:start]) + 1
         assert runs[-1] >= limit
         with pytest.raises(DataError, match=", 1 stalled, 0 outside the domain$"):

@@ -265,6 +265,31 @@ class TestGaussNewton:
                              - noisy_solver.solve(*down)[4]) / (4.0 * step))
         assert jte == pytest.approx(gradient, rel=1e-6)
 
+    def test_jte_is_half_the_sse_gradient_in_the_beta_zero_valley(self,
+                                                                   noisy_solver):
+        # at beta 1e-5 the f column lies almost along the constant one: the
+        # normal equations' SSE is too coarse to difference in beta, so the
+        # reference differences the SSE of an SVD least-squares solve. Z e
+        # in place of J e gave a beta entry of +4.7e5 here, against -3.1e5
+        point = (1e-5, 6.36, 30.0)
+        _, jte = noisy_solver.gauss_newton(*point)
+
+        def sse(beta, omega, t2c):
+            lg = np.log(noisy_solver.ages + t2c)
+            f = np.exp(beta * lg)
+            design = np.column_stack([np.ones_like(f), f, f * np.cos(omega * lg),
+                                      f * np.sin(omega * lg)])
+            return np.linalg.lstsq(design, noisy_solver.y, rcond=None)[1][0]
+
+        gradient = []
+        for i, rel in enumerate((1e-2, 1e-6, 1e-6)):
+            step = rel * abs(point[i])
+            up, down = list(point), list(point)
+            up[i] += step
+            down[i] -= step
+            gradient.append((sse(*up) - sse(*down)) / (4.0 * step))
+        assert jte == pytest.approx(gradient, rel=1e-4)
+
     @pytest.mark.parametrize("point", GAUSS_NEWTON_POINTS)
     def test_jtj_is_symmetric_positive_semidefinite(self, noisy_solver, point):
         jtj, _ = noisy_solver.gauss_newton(*point)
