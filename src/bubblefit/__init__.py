@@ -51,7 +51,6 @@ from .lppl import (
 from .sensitivity import ScanCurve, ScanSpec, scan_parameter, write_scan_csv
 from .series import (
     PriceSeries,
-    ReturnSeries,
     Scale,
     StatsReport,
     descriptive_stats,

@@ -197,8 +197,11 @@ def parse_seed_bounds(text: str | None) -> SearchBounds:
             if name not in widths:
                 raise ConfigError(f"--seed-bounds: {name} takes no minimum width")
             widths[name] = values[2]
-    return SearchBounds(tuple(lower), tuple(upper),
-                        widths["beta"], widths["omega"])
+    try:
+        return SearchBounds(tuple(lower), tuple(upper),
+                            widths["beta"], widths["omega"])
+    except UsageError as exc:
+        raise UsageError(f"--seed-bounds: {exc}") from exc
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:

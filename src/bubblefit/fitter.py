@@ -812,7 +812,6 @@ def fit_bubble(
     scale_choice: str = "auto",
     *,
     paper_mode: bool = False,
-    settings: SearchSettings = SearchSettings(),
 ) -> BubbleReport:
     """Fit one bubble window end to end and classify the results.
 
@@ -820,7 +819,8 @@ def fit_bubble(
     exceeds 2, and the raw series otherwise. `paper_mode` prefers the raw
     scale regardless and floors beta at BETA_FLOOR during the search; the
     default mode instead reports the unconstrained optimum and adds the
-    floored best separately when the two differ.
+    floored best separately when the two differ. Every search runs with
+    the default `SearchSettings`.
     """
     if window.scale != Scale.RAW:
         raise UsageError("fit_bubble expects a raw-scale window")
@@ -840,8 +840,7 @@ def fit_bubble(
         reason = "explicit scale choice"
 
     target = window if scale_used == Scale.RAW else window.with_log_values()
-    fits = recursive_seed_search(target, bounds, ranges, settings,
-                                 floor_beta=paper_mode)
+    fits = recursive_seed_search(target, bounds, ranges, floor_beta=paper_mode)
 
     best_precursor = next(
         (f for f in fits if f.classification is Classification.PRECURSOR), None
@@ -850,7 +849,7 @@ def fit_bubble(
     if not paper_mode and fits[0].params.beta < BETA_FLOOR:
         try:
             constrained_best = recursive_seed_search(
-                target, bounds, ranges, settings, floor_beta=True)[0]
+                target, bounds, ranges, floor_beta=True)[0]
         except DataError:  # the floored search kept no fit
             pass
 

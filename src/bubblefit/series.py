@@ -45,20 +45,19 @@ def parse_date(text: str) -> dt.date:
     """Parse a YYYY-MM-DD (1989-05-15) or DD-MMM-YYYY (15-May-1989) date.
 
     Month names are matched case-insensitively against English
-    abbreviations so parsing does not depend on the process locale.
+    abbreviations so parsing does not depend on the process locale. A
+    date of either form that the calendar lacks (2005-02-30, 30-Feb-2005)
+    raises DataError "invalid calendar date", other text "unparseable date".
     """
     text = text.strip()
-    if _ISO_DATE.fullmatch(text):
-        try:
-            return dt.date.fromisoformat(text)
-        except ValueError:
-            pass
     parts = text.split("-")
-    if len(parts) == 3 and parts[1][:3].lower() in _MONTHS:
-        try:
+    try:
+        if _ISO_DATE.fullmatch(text):
+            return dt.date.fromisoformat(text)
+        if len(parts) == 3 and parts[1][:3].lower() in _MONTHS:
             return dt.date(int(parts[2]), _MONTHS[parts[1][:3].lower()], int(parts[0]))
-        except ValueError as exc:
-            raise DataError(f"invalid calendar date: {text!r}") from exc
+    except ValueError as exc:
+        raise DataError(f"invalid calendar date: {text!r}") from exc
     raise DataError(f"unparseable date: {text!r} (expected YYYY-MM-DD or DD-MMM-YYYY)")
 
 
@@ -105,24 +104,6 @@ class PriceSeries:
     def slice_indices(self, lo: int, hi: int) -> "PriceSeries":
         """Contiguous sub-series over [lo, hi) observation indices."""
         return PriceSeries(self.dates[lo:hi], self.values[lo:hi], self.scale, self.name)
-
-
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Log returns between consecutive weekday observations.
-
-    Each return is dated on the later of the two observations it spans.
-    """
-
-    dates: tuple[dt.date, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "dates", tuple(self.dates))
-
-    def __len__(self) -> int:
-        return len(self.dates)
 
 
 @dataclass(frozen=True)
@@ -187,8 +168,9 @@ def _pick_column(header, named, guesses, position, kind) -> str:
 
 
 def load_csv(path, date_column: str | None = None,
-             value_column: str | None = None, name: str = "") -> PriceSeries:
-    """Read a (date, value) CSV into a raw-scale PriceSeries.
+             value_column: str | None = None) -> PriceSeries:
+    """Read a (date, value) CSV into a raw-scale PriceSeries named by its
+    path.
 
     Each column is the one the caller names. Otherwise it is the first
     column whose name, stripped and in any case, is the first of a list of
@@ -239,7 +221,7 @@ def load_csv(path, date_column: str | None = None,
         )
     dates = tuple(d for d, _ in rows)
     values = np.array([v for _, v in rows], dtype=float)
-    return PriceSeries(dates, values, Scale.RAW, name or str(path))
+    return PriceSeries(dates, values, Scale.RAW, str(path))
 
 
 def to_json_data(record):
@@ -290,25 +272,26 @@ def to_log(series: PriceSeries) -> PriceSeries:
     return PriceSeries(series.dates, np.log(series.values), Scale.LOG, series.name)
 
 
-def log_returns(series: PriceSeries) -> ReturnSeries:
-    """Log returns log(p_t / p_{t-1}) between consecutive observations."""
+def log_returns(series: PriceSeries) -> np.ndarray:
+    """Log returns log(p_t / p_{t-1}) between consecutive observations, in
+    date order: entry i spans observations i and i + 1."""
     if series.scale != Scale.RAW:
         raise UsageError("log_returns expects a raw-scale series")
     if len(series) < 2:
         raise UsageError("need at least 2 observations for returns")
-    logs = np.log(series.values)
-    return ReturnSeries(series.dates[1:], np.diff(logs))
+    return np.diff(np.log(series.values))
 
 
-def descriptive_stats(returns: ReturnSeries) -> StatsReport:
-    """Moment statistics plus the Jarque-Bera normality test.
+def descriptive_stats(returns: np.ndarray) -> StatsReport:
+    """Moment statistics of an array of returns plus the Jarque-Bera
+    normality test.
 
     Skewness and excess kurtosis use the population (n-denominator)
     central moments; the reported variance is the usual n-1 sample
     variance. JB = (n/6) * (S^2 + K^2/4) with K the excess kurtosis,
     and the p-value comes from a chi-squared with 2 degrees of freedom.
     """
-    x = returns.values
+    x = np.asarray(returns, dtype=float)
     n = len(x)
     if n < 4:
         raise UsageError("need at least 4 returns for moment statistics")

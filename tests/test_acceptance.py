@@ -93,7 +93,7 @@ RECOVERY_PARAMS = canonical_params()
 @pytest.fixture(scope="module")
 def hang_seng() -> PriceSeries:
     path = os.environ[DATA_ENV]
-    series = load_csv(path, name="hang-seng")
+    series = load_csv(path)
     lo, hi = dt.date(1970, 1, 1), dt.date(2008, 12, 31)
     keep = [i for i, d in enumerate(series.dates) if lo <= d <= hi]
     return PriceSeries(tuple(series.dates[i] for i in keep),
@@ -184,7 +184,7 @@ def test_criterion6_descriptive_statistics(hang_seng):
     report = descriptive_stats(returns)
     assert f"{report.skewness:.3g}" == "-1.26", report.skewness
     assert f"{report.excess_kurtosis:.3g}" == "31.6", report.excess_kurtosis
-    oracle_jb, _, _ = brute_force_jarque_bera(returns.values.tolist())
+    oracle_jb, _, _ = brute_force_jarque_bera(returns.tolist())
     assert report.jarque_bera == pytest.approx(oracle_jb, rel=1e-9)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bubblefit import (
+    DegeneracyError,
     GeneratorSpec,
     PriceSeries,
     UsageError,
@@ -113,12 +114,13 @@ class TestGenerateCommand:
         json.dumps(dict(GEN_SPEC, params=dict(GEN_SPEC["params"],
                                               anchor_date="0001-01-05"))),
         json.dumps(dict(GEN_SPEC, n_weekdays=600000)),
+        json.dumps({k: v for k, v in GEN_SPEC.items() if k != "n_weekdays"}),
     ], ids=["bad_count", "list", "numeric_date", "not_json", "nan_noise",
             "inf_noise", "noise_too_large", "nan_beta", "inf_omega", "inf_c",
             "text_a", "bool_c", "text_noise", "fractional_count",
             "fractional_rng_seed", "bool_rng_seed", "a_past_float",
             "rng_seed_of_5000_digits", "grid_before_year_one",
-            "grid_of_600000_weekdays"])
+            "grid_of_600000_weekdays", "no_count"])
     def test_malformed_spec_exits_1(self, text, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text)
@@ -230,6 +232,16 @@ class TestDetectCommand:
         assert err.startswith("error: row 2: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_a_duplicate_peak_override_exits_2(self, crash_csv, tmp_path, capsys):
+        overrides = tmp_path / "overrides.csv"
+        overrides.write_text("peak_date,bubble_start_date\n"
+                             "2005-06-30,2004-06-01\n2005-06-30,2004-07-01\n")
+        assert run("--input", str(crash_csv), "--command", "detect",
+                   "--overrides", str(overrides),
+                   "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == (
+            "error: duplicate override for peak 2005-06-30\n")
 
     def test_override_before_the_trough_names_its_dates(self, two_crash_csv,
                                                         tmp_path, capsys):
@@ -421,9 +433,15 @@ class TestErrorHandling:
         '{"omega": [0, 20, true]}',
         '{"t2c": [1, 1%s]}' % ("0" * 400),
         '{"t2c": [1, %s]}' % ("1" * 5000),
+        "[0, 2]",
+        '{"beta": [1]}',
+        '{"t2c": [1, 260, 5]}',
+        '{"beta": [2, 1]}',
+        '{"beta": [0, 2, 0]}',
     ], ids=["not_json", "text_bound", "null_bound", "text_width", "phi",
             "bool_bound", "numeric_text_bounds", "bool_width", "bound_past_float",
-            "bound_of_5000_digits"])
+            "bound_of_5000_digits", "not_an_object", "one_bound", "t2c_width",
+            "reversed_bounds", "zero_width"])
     def test_bad_seed_bounds_json_exits_1(self, bounds, crash_csv, tmp_path,
                                           capsys):
         code = run("--input", str(crash_csv), "--command", "fit",
@@ -453,7 +471,10 @@ class TestErrorHandling:
         ("--seed-bounds", '{"t2c": [-10, 1]}'),
         # the first seed's beta is the beta midpoint
         ("--seed-bounds", '{"beta": [-2, 1]}'),
-    ], ids=["omega_inf", "beta_inf", "t2c_midpoint", "beta_midpoint"])
+        ("--drop-to", "1.5"),
+        ("--precursor-beta", "0.5", "0.5"),
+    ], ids=["omega_inf", "beta_inf", "t2c_midpoint", "beta_midpoint",
+            "drop_past_the_peak", "empty_beta_range"])
     def test_config_outside_the_model_exits_1_before_detection(
             self, option, crash_csv, tmp_path, monkeypatch, capsys):
         detected = []
@@ -463,6 +484,18 @@ class TestErrorHandling:
                    "--out", str(tmp_path / "out")) == 1
         assert detected == []
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_any_other_package_error_exits_3(self, crash_csv, tmp_path,
+                                            monkeypatch, capsys):
+        # neither a usage nor a data error: a fault of the package
+        def degenerate(*args):
+            raise DegeneracyError("collinear columns")
+
+        monkeypatch.setattr(cli, "find_crash_peaks", degenerate)
+        assert run("--input", str(crash_csv), "--command", "detect",
+                   "--out", str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == "internal error: collinear columns\n"
         assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_a_seed_outside_the_domain_ends_without_a_fit(self, crash_csv,

@@ -185,6 +185,12 @@ class TestMakeBubbleWindow:
         window = make_bubble_window(series, series.dates[0], series.dates[-1])
         assert len(window) == 131
 
+    @pytest.mark.parametrize("start", [-2, -1], ids=["at_the_peak", "after_the_peak"])
+    def test_start_on_or_after_the_peak_rejected(self, start):
+        series = series_from_values(np.linspace(100, 200, 200))
+        with pytest.raises(UsageError, match="^bubble start must precede the peak$"):
+            make_bubble_window(series, series.dates[start], series.dates[-2])
+
     def test_override_outside_range_rejected(self):
         series = series_from_values(np.linspace(100, 200, 200))
         with pytest.raises(UsageError):

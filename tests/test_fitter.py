@@ -1105,6 +1105,48 @@ class TestPolishFirst:
         assert outcome.x[0] == pytest.approx(0.5, abs=1e-3)
         assert not at_edge
 
+    def test_the_simplex_rescues_a_seed_whose_polish_stops_in_the_valley(
+            self, monkeypatch):
+        # on this 20-weekday window the polish from seed (0.5, 7.69, 130.5)
+        # stops, not converged, in the beta -> 0 valley. Only the simplex
+        # from its end point, and the polish after it, reach the planted
+        # fit: with the polish alone the best fit is (9.8e-5, 15.35, 89.0)
+        # at RMSE 0.036
+        window = window_of(generate(GeneratorSpec(canonical_params(), n_weekdays=20,
+                                                  noise_sigma=0.0, rng_seed=2)))
+        events = []
+        search_from_seed, polish, simplex = (fitter._search_from_seed,
+                                             fitter._polish, fitter.nelder_mead)
+
+        def seed_search(objective, seed, *args):
+            events.append(("seed", tuple(seed.tolist())))
+            outcome = search_from_seed(objective, seed, *args)
+            events.append(("outcome", outcome[0]))
+            return outcome
+
+        def polishing(*args):
+            events.append(("polish", polish(*args)))
+            return events[-1][1]
+
+        def simplex_from(objective, start, **kwargs):
+            events.append(("simplex", start.tolist()))
+            return simplex(objective, start, **kwargs)
+
+        monkeypatch.setattr(fitter, "_search_from_seed", seed_search)
+        monkeypatch.setattr(fitter, "_polish", polishing)
+        monkeypatch.setattr(fitter, "nelder_mead", simplex_from)
+        fits = recursive_seed_search(window, bounds=LIGHT_BOUNDS, settings=LIGHT)
+        [at] = [i for i, (kind, seed) in enumerate(events) if kind == "seed"
+                and seed == pytest.approx((0.5, 7.6935, 130.5), abs=1e-4)]
+        kinds, (seed, first, start, _, outcome) = zip(*events[at:at + 5])
+        assert kinds == ("seed", "polish", "simplex", "polish", "outcome")
+        assert not first.converged
+        assert first.x[0] < fitter.BETA_FLOOR
+        assert start == first.x.tolist()
+        assert outcome.x.tolist() == pytest.approx((0.33, 6.36, 30.0), rel=1e-6)
+        assert fits[0].seed_used == seed
+        assert fits[0].diagnostics.rmse < 1e-9
+
 
 class TestHorizon:
     def test_no_fit_passes_the_horizon(self, small_window):
@@ -1357,15 +1399,14 @@ def log_window():
 
 @pytest.fixture(scope="module")
 def small_report(small_window):
-    return fit_bubble(small_window, bounds=LIGHT_BOUNDS, settings=LIGHT)
+    return fit_bubble(small_window, bounds=LIGHT_BOUNDS)
 
 
 class TestFitBubble:
     def test_auto_selects_log_when_ratio_exceeds_two(self, steep_window):
         ratio = steep_window.values[-1] / steep_window.values[0]
         assert ratio > 2
-        report = fit_bubble(steep_window, bounds=LIGHT_BOUNDS,
-                            settings=LIGHT)
+        report = fit_bubble(steep_window, bounds=LIGHT_BOUNDS)
         assert report.scale_used == Scale.LOG
         assert not report.raw_fit_valid
         assert report.validity_ratio == pytest.approx(ratio)
@@ -1373,12 +1414,12 @@ class TestFitBubble:
 
     def test_explicit_raw_overrides_auto(self, steep_window):
         report = fit_bubble(steep_window, scale_choice="raw",
-                            bounds=LIGHT_BOUNDS, settings=LIGHT)
+                            bounds=LIGHT_BOUNDS)
         assert report.scale_used == Scale.RAW
 
     def test_paper_mode_prefers_raw_and_floors_beta(self, steep_window):
         report = fit_bubble(steep_window, paper_mode=True,
-                            bounds=LIGHT_BOUNDS, settings=LIGHT)
+                            bounds=LIGHT_BOUNDS)
         assert report.scale_used == Scale.RAW
         assert all(f.params.beta >= 0.01 for f in report.fits)
 
@@ -1409,9 +1450,8 @@ class TestFitBubble:
 
     def test_a_fit_below_the_floor_adds_the_floored_best(self, log_window):
         # the window's best fit lies in the beta -> 0 valley, below the floor
-        report = fit_bubble(log_window, bounds=COARSE_BOUNDS, settings=LIGHT)
-        floored = recursive_seed_search(log_window, COARSE_BOUNDS, settings=LIGHT,
-                                        floor_beta=True)
+        report = fit_bubble(log_window, bounds=COARSE_BOUNDS)
+        floored = recursive_seed_search(log_window, COARSE_BOUNDS, floor_beta=True)
         assert report.best.params.beta < fitter.BETA_FLOOR
         assert report.constrained_best == floored[0]
         assert report.constrained_best.params.beta >= fitter.BETA_FLOOR
@@ -1427,7 +1467,7 @@ class TestFitBubble:
             return search(*args, floor_beta=floor_beta)
 
         monkeypatch.setattr(fitter, "recursive_seed_search", unfloored_only)
-        report = fit_bubble(log_window, bounds=COARSE_BOUNDS, settings=LIGHT)
+        report = fit_bubble(log_window, bounds=COARSE_BOUNDS)
         assert report.best.params.beta < fitter.BETA_FLOOR
         assert report.constrained_best is None
 
