@@ -20,8 +20,14 @@ at:
   window's span in days and the seed box's upper t2c. The window's data
   set no critical time further past its end than the window is long;
   the box's upper t2c keeps every seed the box places.
-- "kept": its best point comes within DEDUP_TOL of the point an earlier
-  seed ended at in (beta, |omega|, t2c); it would end on the same fit.
+- "kept": its best point comes within DEDUP_TOL, in (beta, |omega|,
+  t2c), of a point where an earlier seed ended at "fit" or "edge", or of
+  a point that the polishes of an earlier seed that ended at "fit",
+  "edge" or "kept" took on the way; it would end on a fit already kept.
+  The simplex's points, and the path of a seed that ended for another
+  reason, stop no seed. This is the multi-level single-linkage rule of
+  multistart search (Rinnooy Kan & Timmer 1987): no local search runs
+  into a region an earlier one has covered.
 - "stall": its search stops gaining, as in a valley with no finite
   minimizer (see `SearchSettings`); it ends at its lowest point.
 - "domain": the objective is not finite at the seed (beta <= 0, t2c
@@ -40,7 +46,7 @@ a repeated box is cut at the stored point. Each solution takes phi from
 atan2 at its point; every solution is canonicalized and ranked by RMSE.
 No two solutions lie within DEDUP_TOL of each other: a seed's end point
 was a new lowest value of its search when it was tried, and was then
-compared with every earlier end point.
+checked against every earlier end point.
 
 Canonical form: omega >= 0 and phi in [0, pi). A negative omega maps
 through cos(-w*x + p) = cos(w*x - p), and a phase in [pi, 2*pi) drops by
@@ -49,6 +55,7 @@ pi with the oscillation amplitude c absorbing the sign flip.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -70,8 +77,9 @@ from .lppl import (
 )
 from .series import Scale, to_json_data
 
-# solutions closer than this in (beta, |omega|, t2c) are one fit
-DEDUP_TOL = (1e-3, 1e-3, 0.5)
+# points closer than this in (beta, |omega|, t2c) lead to one fit: a seed
+# stops at "kept" once it comes this close to a kept fit or its path
+DEDUP_TOL = (3e-2, 3e-2, 5.0)
 
 # a fit this close to a classification bound is flagged, not reclassified
 BOUNDARY_MARGIN = {"beta": 0.01, "omega": 0.01}
@@ -466,13 +474,53 @@ def _boundary_warnings(beta: float, omega: float,
     return tuple(notes)
 
 
+# a cell and its 26 neighbours, as offsets of the cell's indices
+_NEIGHBOURS = tuple(itertools.product((-1.0, 0.0, 1.0), repeat=3))
+
+
+class _PointCells:
+    """Points in (beta, |omega|, t2c), and whether a point lies within
+    `radius` of one of them: closer than it, strictly, on every
+    coordinate. A point is filed under its cell of the grid with the
+    radius for spacing. Float floor division is the exact floor of the
+    quotient, so a point within the radius lies in the cell of the
+    point checked or in one of its 26 neighbours: a check reads 27 cells,
+    not every point."""
+
+    def __init__(self, radius: tuple[float, float, float]):
+        self.radius = radius
+        self.cells: dict[tuple[float, float, float], list] = {}
+
+    def add(self, theta) -> None:
+        beta, omega, t2c = theta
+        omega = abs(omega)
+        r_beta, r_omega, r_t2c = self.radius
+        cell = (beta // r_beta, omega // r_omega, t2c // r_t2c)
+        self.cells.setdefault(cell, []).append((beta, omega, t2c))
+
+    def near(self, theta) -> bool:
+        if not self.cells:
+            return False
+        beta, omega, t2c = theta
+        omega = abs(omega)
+        r_beta, r_omega, r_t2c = self.radius
+        i, j, k = beta // r_beta, omega // r_omega, t2c // r_t2c
+        for di, dj, dk in _NEIGHBOURS:
+            for b, w, t in self.cells.get((i + di, j + dj, k + dk), ()):
+                if abs(beta - b) < r_beta and abs(omega - w) < r_omega and abs(
+                        t2c - t) < r_t2c:
+                    return True
+        return False
+
+
 class _SeedStopped(Exception):
     """Raised where a seed's search ends without a fit, with the point its
     box is cut at and the reason (see the module docstring) as arguments."""
 
 
 def _search_from_seed(objective, seed, x_tol, f_tol, settings: SearchSettings,
-                      system, floor_beta: bool) -> tuple[NelderMeadResult, bool]:
+                      system, floor_beta: bool,
+                      path: list | None = None) -> tuple[NelderMeadResult, bool]:
     """A seed's search within the per-seed budget, and whether it ended at
     "edge". With `settings.restarts` 1 a Gauss-Newton polish runs from the
     seed, and its end is the outcome if it converged; if not, a simplex
@@ -485,12 +533,12 @@ def _search_from_seed(objective, seed, x_tol, f_tol, settings: SearchSettings,
     and, in the beta -> 0 valley, the collinear rule, where the kernel's
     rounding sets the last admissible values). The search's objective
     raises _SeedStopped at "domain", "ceiling", "horizon", "kept" and
-    "stall"."""
+    "stall". Each point a polish accepts is appended to `path`, if given."""
     start, spent = seed, 0
     if settings.restarts:
         seeded = NelderMeadResult(seed, objective(seed.tolist()), 1, False)
         polished = _polish(objective, system, seeded, x_tol, f_tol,
-                           settings.max_evals - 1, floor_beta)
+                           settings.max_evals - 1, floor_beta, path)
         spent = 1 + polished.evaluations
         if polished.converged:
             return polished._replace(evaluations=spent), False
@@ -502,7 +550,7 @@ def _search_from_seed(objective, seed, x_tol, f_tol, settings: SearchSettings,
     if not settings.restarts or remaining <= 0:
         return best._replace(evaluations=spent), False
     polished = _polish(objective, system, best, x_tol, f_tol, remaining,
-                       floor_beta)
+                       floor_beta, path)
     beta, _, t2c = polished.x.tolist()
     edge = not polished.converged and (beta < BETA_FLOOR or t2c - 1.0 <= x_tol[2])
     return polished._replace(evaluations=spent + polished.evaluations,
@@ -510,7 +558,8 @@ def _search_from_seed(objective, seed, x_tol, f_tol, settings: SearchSettings,
 
 
 def _polish(objective, system, start: NelderMeadResult, x_tol, f_tol,
-            budget: int, floor_beta: bool) -> NelderMeadResult:
+            budget: int, floor_beta: bool,
+            path: list | None = None) -> NelderMeadResult:
     """Levenberg-Marquardt from `start`: damped Gauss-Newton steps on the
     system that `system(beta, omega, t2c)` builds, (J^T J, J^T e) or None.
 
@@ -524,7 +573,8 @@ def _polish(objective, system, start: NelderMeadResult, x_tol, f_tol,
     where `system` gives None. Every trial point goes through `objective`;
     a system build counts as one evaluation as well. With `floor_beta`, a
     step that would take beta below BETA_FLOOR holds beta at the floor and
-    steps in (omega, t2c) alone.
+    steps in (omega, t2c) alone. Each point taken is appended to `path`,
+    if given.
     """
     x, value, converged = start.x.tolist(), start.value, False
     x_tol = x_tol.tolist()
@@ -546,6 +596,8 @@ def _polish(objective, system, start: NelderMeadResult, x_tol, f_tol,
             small = all(abs(d) <= tol for d, tol in zip(step, x_tol))
             if f < value:
                 gain, x, value, built = value - f, trial, f, None
+                if path is not None:
+                    path.append(trial)
                 damping /= _DAMPING_FACTOR
                 if small and gain <= f_tol:
                     converged = True
@@ -564,7 +616,9 @@ def _damped_step(jtj, jte, damping: float, beta: float, floor_beta: bool):
     the damped system fails `_ldlt`'s determinant rule. With `floor_beta`,
     a step that would take beta below BETA_FLOOR is solved again with the
     beta step fixed at BETA_FLOOR - beta."""
-    matrix = jtj * (1.0 + damping * np.eye(3))
+    # J^T J + damping diag(J^T J), on a copy: `_polish` reuses jtj
+    matrix = jtj.copy()
+    matrix.flat[::4] *= 1.0 + damping
     rhs = -jte
     step = [0.0] * 3
     try:
@@ -633,10 +687,13 @@ def recursive_seed_search(
     module docstring lists. A seed's search, its polishes and its simplex,
     ends at "ceiling", "horizon" or "kept" at the first point whose value
     is below every value that search has seen and that has beta above
-    BETA_CEILING, has t2c past the horizon or lies within DEDUP_TOL of the
-    point an earlier seed ended at, compared in (beta, |omega|, t2c) (phi
-    is solved at each point, and the phase-solved value is even in
-    omega). So no two results lie within DEDUP_TOL of each other.
+    BETA_CEILING, has t2c past the horizon or lies within DEDUP_TOL of a
+    stored point, compared in (beta, |omega|, t2c) (phi is solved at each
+    point, and the phase-solved value is even in omega). The stored
+    points are where earlier seeds ended at "fit" or "edge" and each point
+    the polishes of earlier seeds that ended at "fit", "edge" or "kept"
+    took; they are filed by cell of DEDUP_TOL's grid, so a check reads 27
+    cells. So no two results lie within DEDUP_TOL of each other.
     Results are canonicalized and sorted by RMSE ascending with
     lexicographic (beta, omega, t2c, phi) tie-breaking, so identical
     inputs always produce identical output.
@@ -659,9 +716,10 @@ def recursive_seed_search(
     # the running seed's lowest value and its point, the value a call gains
     # below (f_tol under the last gain) and the calls since the last gain
     lowest, lowest_at, bar, idle = math.inf, None, math.inf, 0
-    # (beta, |omega|, t2c) of each point a seed ended at so far
-    found: list[tuple[float, float, float]] = []
-    beta_tol, omega_tol, t2c_tol = DEDUP_TOL
+    # the points where earlier seeds ended at "fit" or "edge", and those
+    # that the polishes of earlier seeds that ended at "fit", "edge" or
+    # "kept" took; a new low within DEDUP_TOL of one ends a seed at "kept"
+    kept = _PointCells(DEDUP_TOL)
 
     def objective(theta):
         nonlocal lowest, lowest_at, bar, idle
@@ -673,11 +731,8 @@ def recursive_seed_search(
                 raise _SeedStopped(np.array(theta), "ceiling")
             if t2c > horizon:
                 raise _SeedStopped(np.array(theta), "horizon")
-            omega = abs(omega)
-            for b, w, t in found:
-                if (abs(beta - b) < beta_tol and abs(omega - w) < omega_tol
-                        and abs(t2c - t) < t2c_tol):
-                    raise _SeedStopped(np.array(theta), "kept")
+            if kept.near(theta):
+                raise _SeedStopped(np.array(theta), "kept")
             lowest, lowest_at = value, theta
         elif lowest == math.inf:  # the search's first call is its seed
             raise _SeedStopped(np.array(theta), "domain")
@@ -703,16 +758,19 @@ def recursive_seed_search(
         key = tuple(seed)
         if key not in ends:
             lowest, lowest_at, bar, idle = math.inf, seed, math.inf, 0
+            path: list = []
             try:
                 outcome, edge = _search_from_seed(objective, seed, x_tol, f_tol,
                                                   settings, solver.gauss_newton,
-                                                  floor_beta)
+                                                  floor_beta, path)
             except _SeedStopped as stop:
                 ends[key] = (*stop.args, None)
             else:
                 ends[key] = (outcome.x, "edge" if edge else "fit", outcome)
-                beta, omega, t2c = outcome.x.tolist()
-                found.append((beta, abs(omega), t2c))
+                path.append(outcome.x.tolist())
+            if ends[key][1] in ("fit", "edge", "kept"):
+                for point in path:
+                    kept.add(point)
         # cut at the midpoint, not at a lifted seed: each sub-box then lies
         # in one half of its box, and the recursion ends
         cut = ends[key][0]

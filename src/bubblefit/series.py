@@ -39,23 +39,26 @@ _MONTHS = {
 
 # from Python 3.11 date.fromisoformat also reads 20050630 and 2005-W26-4
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# int() would also read a sign, an underscore and a two-digit year
+_NAMED_DATE = re.compile(r"([0-9]{1,2})-([A-Za-z]{3})-([0-9]{4})")
 
 
 def parse_date(text: str) -> dt.date:
     """Parse a YYYY-MM-DD (1989-05-15) or DD-MMM-YYYY (15-May-1989) date.
 
     Month names are matched case-insensitively against English
-    abbreviations so parsing does not depend on the process locale. A
-    date of either form that the calendar lacks (2005-02-30, 30-Feb-2005)
-    raises DataError "invalid calendar date", other text "unparseable date".
+    abbreviations so parsing does not depend on the process locale. The
+    day has one or two digits and the year four. A date of either form
+    that the calendar lacks (2005-02-30, 30-Feb-2005) raises DataError
+    "invalid calendar date", other text "unparseable date".
     """
     text = text.strip()
-    parts = text.split("-")
+    named = _NAMED_DATE.fullmatch(text)
     try:
         if _ISO_DATE.fullmatch(text):
             return dt.date.fromisoformat(text)
-        if len(parts) == 3 and parts[1][:3].lower() in _MONTHS:
-            return dt.date(int(parts[2]), _MONTHS[parts[1][:3].lower()], int(parts[0]))
+        if named and named[2].lower() in _MONTHS:
+            return dt.date(int(named[3]), _MONTHS[named[2].lower()], int(named[1]))
     except ValueError as exc:
         raise DataError(f"invalid calendar date: {text!r}") from exc
     raise DataError(f"unparseable date: {text!r} (expected YYYY-MM-DD or DD-MMM-YYYY)")

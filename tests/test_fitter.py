@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+import hypothesis
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bubblefit import (
     BubbleWindow,
@@ -673,6 +676,16 @@ def search_objective(monkeypatch, objective, system) -> None:
                         lambda self, *theta: system(*theta))
 
 
+def quarter_step_system(minimum):
+    """The bowl's Gauss-Newton system with J^T J four times too large: a
+    polish takes about a quarter of each step to the minimum, so its path
+    has points far from its end."""
+    def system(*theta):
+        jtj, jte = bowl_system(np.array(minimum))(*theta)
+        return 4.0 * jtj, jte
+    return system
+
+
 def bowl_objective(monkeypatch, beta: float, moved=None, seeds=()) -> None:
     """Make the search's objective a bowl with its minimum at (beta, 10,
     130.5) and its Gauss-Newton system the bowl's; once `seeds` records a
@@ -700,11 +713,28 @@ def calls_by_seed(calls: list, seeds: list) -> list:
     return [calls[a:b] for a, b in zip(starts, [*starts[1:], len(calls)])]
 
 
+def near_point(theta, point, radius=fitter.DEDUP_TOL) -> bool:
+    """Whether `theta` lies within `radius` of `point` in (beta, |omega|,
+    t2c): strictly closer on every coordinate."""
+    return all(abs(x - y) < tol for x, y, tol in
+               zip((theta[0], abs(theta[1]), theta[2]),
+                   (point[0], abs(point[1]), point[2]), radius))
+
+
 def near_fit(theta, fit) -> bool:
     """Whether `theta` lies within DEDUP_TOL of the fit in (beta, |omega|, t2c)."""
-    point = (theta[0], abs(theta[1]), theta[2])
-    return all(abs(x - y) < tol for x, y, tol in
-               zip(point, fit.params.theta(), fitter.DEDUP_TOL))
+    return near_point(theta, fit.params.theta())
+
+
+def new_lows(calls: list, objective) -> list:
+    """The calls whose value is below that of every call before them."""
+    lowest, lows = math.inf, []
+    for theta in calls:
+        value = objective(theta)
+        if value < lowest:
+            lowest = value
+            lows.append(theta)
+    return lows
 
 
 def assert_stopped_at_first_low(calls: list, objective, stops) -> None:
@@ -1215,9 +1245,10 @@ class TestStopAtAKeptFit:
             assert not any(low < seed[0] < high for seed in seeds[i + 1:])
 
     def test_fits_apart_in_t2c_both_stay(self, small_window, monkeypatch):
-        # from the second seed on, the minimum is 0.6 days later in t2c
+        # from the second seed on, the minimum is 1.2 DEDUP_TOL later in t2c
         seeds = recording_seeds(monkeypatch)
-        bowl_objective(monkeypatch, 0.7, moved=(0.7, 10.0, 131.1), seeds=seeds)
+        moved = (0.7, 10.0, 130.5 + 1.2 * fitter.DEDUP_TOL[2])
+        bowl_objective(monkeypatch, 0.7, moved=moved, seeds=seeds)
         fits = recursive_seed_search(small_window, bounds=BETA_LINE,
                                      settings=LIGHT)
         assert sorted(f.seed_used for f in fits) == sorted(seeds[:2])
@@ -1243,6 +1274,90 @@ class TestStopAtAKeptFit:
                                     lambda theta: near_fit(theta, fit))
         assert stopped[-1][1] < 0.0
 
+    def test_a_later_seed_stops_on_an_earlier_seeds_polish_path(
+            self, small_window, monkeypatch):
+        # the first seed's polish takes about a quarter of each step to the
+        # minimum at (0.05, 10, 190.5). From the second seed on the minimum
+        # is at (0.19, 10, 171.5), next to a point of that path but more
+        # than DEDUP_TOL from its end. The second seed stops at its first
+        # new low near a point of the path and adds no fit; its box is cut
+        # there, so no later seed lies between it and that point on beta
+        seeds = recording_seeds(monkeypatch)
+        first, later = (0.05, 10.0, 190.5), (0.19, 10.0, 171.5)
+
+        def minimum():
+            return first if len(seeds) < 2 else later
+
+        search_objective(monkeypatch, lambda theta: bowl(minimum())(theta),
+                         lambda *theta: quarter_step_system(minimum())(*theta))
+        calls = counting_objective_calls(monkeypatch)
+        [fit] = recursive_seed_search(small_window, bounds=BETA_LINE,
+                                      settings=LIGHT)
+        first_run, stopped = calls_by_seed(calls, seeds)[:2]
+        # the seed, then each point the polish took; it ran no simplex
+        _, *on_the_way, end = new_lows(first_run, bowl(first))
+        assert fit.seed_used == seeds[0] and fit.converged
+        assert fit.params.theta()[:3] == tuple(end)
+        assert len(on_the_way) > 5
+        assert_stopped_at_first_low(
+            stopped, bowl(later),
+            lambda theta: any(near_point(theta, point) for point in on_the_way))
+        assert not near_fit(stopped[-1], fit)
+        low, high = sorted((seeds[1][0], stopped[-1][0]))
+        assert len(seeds) > 2
+        assert not any(low < seed[0] < high for seed in seeds[2:])
+
+    def test_a_path_that_ends_past_the_ceiling_stops_no_seed(self, small_window,
+                                                             monkeypatch):
+        # the first seed's polish takes about a quarter of each step toward
+        # a minimum at beta 3 and ends past the ceiling. From the second
+        # seed on, the minimum is at beta 1.1, next to a point of that
+        # path: the second seed keeps it
+        seeds = recording_seeds(monkeypatch)
+        first, later = (3.0, 10.0, 130.5), (1.1, 10.0, 130.5)
+
+        def minimum():
+            return first if len(seeds) < 2 else later
+
+        search_objective(monkeypatch, lambda theta: bowl(minimum())(theta),
+                         lambda *theta: quarter_step_system(minimum())(*theta))
+        calls = counting_objective_calls(monkeypatch)
+        [fit] = recursive_seed_search(small_window, bounds=BETA_LINE,
+                                      settings=LIGHT)
+        first_run = calls_by_seed(calls, seeds)[0]
+        assert first_run[-1][0] > fitter.BETA_CEILING
+        assert any(near_point(theta, later)
+                   for theta in new_lows(first_run, bowl(first))[1:])
+        assert fit.seed_used == seeds[1]
+        assert fit.params.theta()[:3] == pytest.approx(later, abs=1e-3)
+
+    def test_the_simplex_new_lows_stop_no_seed(self, small_window, monkeypatch):
+        # with no system the first seed's search is its simplex, which
+        # ends at the minimum at beta 0.9. Once it has ended, the minimum
+        # moves to its simplex's first new low past the seed, more than
+        # DEDUP_TOL from that end: the second seed keeps it
+        seeds, later = recording_seeds(monkeypatch), []
+        first = (0.9, 10.0, 130.5)
+
+        def minimum():
+            if len(seeds) < 2:
+                return first
+            if not later:
+                lows = new_lows(calls_by_seed(calls, seeds)[0], bowl(first))
+                later.append(tuple(lows[1]))
+            return later[0]
+
+        search_objective(monkeypatch, lambda theta: bowl(minimum())(theta),
+                         lambda *theta: None)
+        calls = counting_objective_calls(monkeypatch)
+        fits = recursive_seed_search(small_window, bounds=BETA_LINE,
+                                     settings=LIGHT)
+        assert not near_point(later[0], first, [2.0 * r for r in fitter.DEDUP_TOL])
+        assert sorted(f.seed_used for f in fits) == sorted(seeds[:2])
+        for fit in fits:
+            point = first if fit.seed_used == seeds[0] else later[0]
+            assert fit.params.theta()[:3] == pytest.approx(point, rel=1e-4)
+
     def test_stopped_seeds_are_not_counted_as_abandoned(self, small_window,
                                                         monkeypatch):
         # the kept fit fails its canonical re-solve, so the search keeps no
@@ -1257,6 +1372,60 @@ class TestStopAtAKeptFit:
             f"the search kept no fit: {len(seeds)} seeds searched, "
             "0 abandoned past beta 2.0, 0 past the horizon, 0 stalled, "
             "0 outside the domain")
+
+
+# DEDUP_TOL, a radius whose multiples are rounded and one whose multiples
+# are exact, so a point moved by it lies exactly at the radius
+RADII = (fitter.DEDUP_TOL, (0.1, 0.7, 3.3), (0.25, 0.5, 4.0))
+
+
+@st.composite
+def points_and_a_check(draw):
+    """A radius, points in (beta, omega, t2c), and a point to check: often a
+    drawn point moved by exactly the radius, or by a float either side of
+    it, on some coordinates. Coordinates are often cell edges (multiples
+    of the radius) or the floats next to them; omega takes either sign."""
+    radius = draw(st.sampled_from(RADII))
+
+    def coordinate(r):
+        edge = st.integers(-20, 20).map(lambda k: k * r)
+        return st.one_of(edge, edge.map(lambda x: math.nextafter(x, math.inf)),
+                         edge.map(lambda x: math.nextafter(x, -math.inf)),
+                         st.floats(-20.0 * r, 20.0 * r))
+
+    point = st.tuples(*(coordinate(r) for r in radius))
+    points = draw(st.lists(point, max_size=12))
+    if points and draw(st.booleans()):
+        base = draw(st.sampled_from(points))
+        moves = [draw(st.sampled_from((0.0, r, -r, math.nextafter(r, 0.0),
+                                       -math.nextafter(r, 0.0),
+                                       math.nextafter(r, math.inf))))
+                 for r in radius]
+        checked = tuple(x + d for x, d in zip(base, moves))
+    else:
+        checked = draw(point)
+    return radius, points, checked
+
+
+class TestPointCells:
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @given(points_and_a_check())
+    def test_the_cells_answer_as_a_scan_of_every_point(self, case):
+        radius, points, checked = case
+        cells = fitter._PointCells(radius)
+        for point in points:
+            cells.add(point)
+        assert cells.near(checked) == any(near_point(checked, point, radius)
+                                          for point in points)
+
+    def test_a_point_at_the_radius_is_not_near(self):
+        # a point on cell edges, checked from the cell below it in beta:
+        # at the radius, then one float inside it, either sign of omega
+        cells = fitter._PointCells((1.0, 1.0, 1.0))
+        cells.add((2.0, -3.0, 4.0))
+        assert not cells.near((1.0, 3.0, 4.0))
+        assert cells.near((math.nextafter(1.0, 2.0), 3.0, 4.0))
+        assert cells.near((math.nextafter(1.0, 2.0), -3.0, 4.0))
 
 
 def idle_runs(calls: list, objective, f_tol: float) -> list:

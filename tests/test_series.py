@@ -193,6 +193,14 @@ def test_parse_date_rejects_garbage():
         parse_date("12/31/1999")
 
 
+@pytest.mark.parametrize("text", ["15-May-89", "15-Mayonnaise-1989", "15-May-+1989",
+                                  "15-May-1_989", "15-May-19x9"])
+def test_parse_date_takes_a_four_digit_year_and_a_three_letter_month(text):
+    # int() reads a sign, an underscore and a two-digit year (year 89)
+    with pytest.raises(DataError, match="unparseable date"):
+        parse_date(text)
+
+
 @pytest.mark.parametrize("text", ["20050630", "2005-W26-4"])
 def test_parse_date_takes_only_the_dashed_iso_form(text):
     # from Python 3.11 date.fromisoformat reads both; 3.10 rejects them
