@@ -55,7 +55,6 @@ pi with the oscillation amplitude c absorbing the sign flip.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -474,45 +473,6 @@ def _boundary_warnings(beta: float, omega: float,
     return tuple(notes)
 
 
-# a cell and its 26 neighbours, as offsets of the cell's indices
-_NEIGHBOURS = tuple(itertools.product((-1.0, 0.0, 1.0), repeat=3))
-
-
-class _PointCells:
-    """Points in (beta, |omega|, t2c), and whether a point lies within
-    `radius` of one of them: closer than it, strictly, on every
-    coordinate. A point is filed under its cell of the grid with the
-    radius for spacing. Float floor division is the exact floor of the
-    quotient, so a point within the radius lies in the cell of the
-    point checked or in one of its 26 neighbours: a check reads 27 cells,
-    not every point."""
-
-    def __init__(self, radius: tuple[float, float, float]):
-        self.radius = radius
-        self.cells: dict[tuple[float, float, float], list] = {}
-
-    def add(self, theta) -> None:
-        beta, omega, t2c = theta
-        omega = abs(omega)
-        r_beta, r_omega, r_t2c = self.radius
-        cell = (beta // r_beta, omega // r_omega, t2c // r_t2c)
-        self.cells.setdefault(cell, []).append((beta, omega, t2c))
-
-    def near(self, theta) -> bool:
-        if not self.cells:
-            return False
-        beta, omega, t2c = theta
-        omega = abs(omega)
-        r_beta, r_omega, r_t2c = self.radius
-        i, j, k = beta // r_beta, omega // r_omega, t2c // r_t2c
-        for di, dj, dk in _NEIGHBOURS:
-            for b, w, t in self.cells.get((i + di, j + dj, k + dk), ()):
-                if abs(beta - b) < r_beta and abs(omega - w) < r_omega and abs(
-                        t2c - t) < r_t2c:
-                    return True
-        return False
-
-
 class _SeedStopped(Exception):
     """Raised where a seed's search ends without a fit, with the point its
     box is cut at and the reason (see the module docstring) as arguments."""
@@ -520,7 +480,7 @@ class _SeedStopped(Exception):
 
 def _search_from_seed(objective, seed, x_tol, f_tol, settings: SearchSettings,
                       system, floor_beta: bool,
-                      path: list | None = None) -> tuple[NelderMeadResult, bool]:
+                      path: list) -> tuple[NelderMeadResult, bool]:
     """A seed's search within the per-seed budget, and whether it ended at
     "edge". With `settings.restarts` 1 a Gauss-Newton polish runs from the
     seed, and its end is the outcome if it converged; if not, a simplex
@@ -533,7 +493,7 @@ def _search_from_seed(objective, seed, x_tol, f_tol, settings: SearchSettings,
     and, in the beta -> 0 valley, the collinear rule, where the kernel's
     rounding sets the last admissible values). The search's objective
     raises _SeedStopped at "domain", "ceiling", "horizon", "kept" and
-    "stall". Each point a polish accepts is appended to `path`, if given."""
+    "stall". Each point a polish accepts is appended to `path`."""
     start, spent = seed, 0
     if settings.restarts:
         seeded = NelderMeadResult(seed, objective(seed.tolist()), 1, False)
@@ -558,8 +518,7 @@ def _search_from_seed(objective, seed, x_tol, f_tol, settings: SearchSettings,
 
 
 def _polish(objective, system, start: NelderMeadResult, x_tol, f_tol,
-            budget: int, floor_beta: bool,
-            path: list | None = None) -> NelderMeadResult:
+            budget: int, floor_beta: bool, path: list) -> NelderMeadResult:
     """Levenberg-Marquardt from `start`: damped Gauss-Newton steps on the
     system that `system(beta, omega, t2c)` builds, (J^T J, J^T e) or None.
 
@@ -573,8 +532,7 @@ def _polish(objective, system, start: NelderMeadResult, x_tol, f_tol,
     where `system` gives None. Every trial point goes through `objective`;
     a system build counts as one evaluation as well. With `floor_beta`, a
     step that would take beta below BETA_FLOOR holds beta at the floor and
-    steps in (omega, t2c) alone. Each point taken is appended to `path`,
-    if given.
+    steps in (omega, t2c) alone. Each point taken is appended to `path`.
     """
     x, value, converged = start.x.tolist(), start.value, False
     x_tol = x_tol.tolist()
@@ -596,8 +554,7 @@ def _polish(objective, system, start: NelderMeadResult, x_tol, f_tol,
             small = all(abs(d) <= tol for d, tol in zip(step, x_tol))
             if f < value:
                 gain, x, value, built = value - f, trial, f, None
-                if path is not None:
-                    path.append(trial)
+                path.append(trial)
                 damping /= _DAMPING_FACTOR
                 if small and gain <= f_tol:
                     converged = True
@@ -692,8 +649,7 @@ def recursive_seed_search(
     point, and the phase-solved value is even in omega). The stored
     points are where earlier seeds ended at "fit" or "edge" and each point
     the polishes of earlier seeds that ended at "fit", "edge" or "kept"
-    took; they are filed by cell of DEDUP_TOL's grid, so a check reads 27
-    cells. So no two results lie within DEDUP_TOL of each other.
+    took. So no two results lie within DEDUP_TOL of each other.
     Results are canonicalized and sorted by RMSE ascending with
     lexicographic (beta, omega, t2c, phi) tie-breaking, so identical
     inputs always produce identical output.
@@ -718,8 +674,10 @@ def recursive_seed_search(
     lowest, lowest_at, bar, idle = math.inf, None, math.inf, 0
     # the points where earlier seeds ended at "fit" or "edge", and those
     # that the polishes of earlier seeds that ended at "fit", "edge" or
-    # "kept" took; a new low within DEDUP_TOL of one ends a seed at "kept"
-    kept = _PointCells(DEDUP_TOL)
+    # "kept" took, as (beta, |omega|, t2c); a new low within DEDUP_TOL of
+    # one ends a seed at "kept"
+    kept: list[tuple[float, float, float]] = []
+    beta_tol, omega_tol, t2c_tol = DEDUP_TOL
 
     def objective(theta):
         nonlocal lowest, lowest_at, bar, idle
@@ -731,8 +689,11 @@ def recursive_seed_search(
                 raise _SeedStopped(np.array(theta), "ceiling")
             if t2c > horizon:
                 raise _SeedStopped(np.array(theta), "horizon")
-            if kept.near(theta):
-                raise _SeedStopped(np.array(theta), "kept")
+            omega = abs(omega)
+            for b, w, t in kept:
+                if (abs(beta - b) < beta_tol and abs(omega - w) < omega_tol
+                        and abs(t2c - t) < t2c_tol):
+                    raise _SeedStopped(np.array(theta), "kept")
             lowest, lowest_at = value, theta
         elif lowest == math.inf:  # the search's first call is its seed
             raise _SeedStopped(np.array(theta), "domain")
@@ -769,8 +730,7 @@ def recursive_seed_search(
                 ends[key] = (outcome.x, "edge" if edge else "fit", outcome)
                 path.append(outcome.x.tolist())
             if ends[key][1] in ("fit", "edge", "kept"):
-                for point in path:
-                    kept.add(point)
+                kept.extend((b, abs(w), t) for b, w, t in path)
         # cut at the midpoint, not at a lifted seed: each sub-box then lies
         # in one half of its box, and the recursion ends
         cut = ends[key][0]

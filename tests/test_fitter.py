@@ -5,9 +5,6 @@ import math
 
 import numpy as np
 import pytest
-import hypothesis
-from hypothesis import given
-from hypothesis import strategies as st
 
 from bubblefit import (
     BubbleWindow,
@@ -427,11 +424,11 @@ class TestRecursiveSeedSearch:
         x_tol, f_tol = _fit_tolerances(small_window, LIGHT_BOUNDS, LIGHT)
         seed = np.array([1.0, 10.0, 130.5])
         first, first_at_edge = fitter._search_from_seed(
-            objective, seed, x_tol, f_tol, LIGHT, system, False)
+            objective, seed, x_tol, f_tol, LIGHT, system, False, [])
         fitter._search_from_seed(objective, np.array([0.5, 15.0, 130.5]),
-                                 x_tol, f_tol, LIGHT, system, False)
+                                 x_tol, f_tol, LIGHT, system, False, [])
         again, again_at_edge = fitter._search_from_seed(
-            objective, seed, x_tol, f_tol, LIGHT, system, False)
+            objective, seed, x_tol, f_tol, LIGHT, system, False, [])
         assert first.x.tolist() == again.x.tolist()
         assert (first.value, first.evaluations, first.converged, first_at_edge) == (
             again.value, again.evaluations, again.converged, again_at_edge)
@@ -450,7 +447,7 @@ class TestRecursiveSeedSearch:
         x_tol, f_tol = _fit_tolerances(small_window, LIGHT_BOUNDS, LIGHT)
         outcome, _ = fitter._search_from_seed(
             window_objective(small_window), np.array([1.0, 10.0, 130.5]),
-            x_tol, f_tol, LIGHT, None, False)
+            x_tol, f_tol, LIGHT, None, False, [])
         assert len(starts) == 1
         assert outcome.value == starts[0] - 1.0
 
@@ -839,7 +836,7 @@ class TestPolish:
             start = nelder_mead(objective, seed, x_tol=1e-2, f_tol=1e-3,
                                 max_evals=300)
             polished = fitter._polish(objective, system, start, x_tol, f_tol,
-                                      200, False)
+                                      200, False, [])
             assert polished.value <= start.value
             assert polished.value == objective(polished.x.tolist())
             assert 1 <= polished.evaluations <= 200
@@ -854,7 +851,7 @@ class TestPolish:
         best = chain_fits(0)[0].diagnostics.rmse
         assert start.value > best + 1000.0 * f_tol
         polished = fitter._polish(objective, WindowSolver(window).gauss_newton,
-                                  start, x_tol, f_tol, 200, False)
+                                  start, x_tol, f_tol, 200, False, [])
         assert polished.value <= best + f_tol
         assert polished.converged
         assert polished.evaluations <= 20
@@ -917,7 +914,7 @@ class TestPolish:
         start = fitter.NelderMeadResult(np.array([0.5, 6.0, 30.0]), 2.0, 10, True)
         polished = fitter._polish(
             objective, lambda *theta: (np.diag([1.0, 0.0, 1.0]), np.ones(3)),
-            start, np.full(3, 1e-6), 1e-8, 1000, False)
+            start, np.full(3, 1e-6), 1e-8, 1000, False, [])
         assert (polished.x.tolist(), polished.value, polished.evaluations,
                 polished.converged) == ([0.5, 6.0, 30.0], 2.0, 1, False)
         assert calls == []
@@ -937,7 +934,7 @@ class TestPolish:
         start = fitter.NelderMeadResult(np.array([beta, 6.0, 30.0]), 1.0, 10, True)
         polished = fitter._polish(
             objective, lambda *theta: (np.eye(3), np.array([1.0, 0.0, 0.0])),
-            start, np.full(3, 1e-6), 1e-8, 1000, True)
+            start, np.full(3, 1e-6), 1e-8, 1000, True, [])
         assert calls[0][0] == fitter.BETA_FLOOR
         assert polished.x.tolist() == [fitter.BETA_FLOOR, 6.0, 30.0]
         assert polished.value == 0.5
@@ -964,7 +961,7 @@ class TestPolish:
         x_tol, f_tol = _fit_tolerances(small_window, SearchBounds(), SearchSettings())
         outcome, at_edge = fitter._search_from_seed(
             walled(minimum), np.array(seed), x_tol, f_tol, SearchSettings(),
-            bowl_system(minimum), False)
+            bowl_system(minimum), False, [])
         assert outcome.x[2] - 1.0 <= x_tol[2]
         assert at_edge
 
@@ -999,7 +996,7 @@ class TestPolish:
         x_tol, f_tol = _fit_tolerances(small_window, SearchBounds(), SearchSettings())
         outcome, at_edge = fitter._search_from_seed(
             walled(minimum), np.array([0.3, 10.0, 130.5]), x_tol, f_tol,
-            SearchSettings(), system, False)
+            SearchSettings(), system, False, [])
         assert outcome.x[0] < fitter.BETA_FLOOR
         assert at_edge is edge
         if simplex_evals is not None:  # the polish took a step
@@ -1011,7 +1008,7 @@ class TestPolish:
         x_tol, f_tol = _fit_tolerances(small_window, SearchBounds(), SearchSettings())
         outcome, at_edge = fitter._search_from_seed(
             walled(minimum), np.array([0.4, 12.0, 100.0]), x_tol, f_tol,
-            SearchSettings(), bowl_system(minimum), False)
+            SearchSettings(), bowl_system(minimum), False, [])
         assert outcome.value < 1e-12
         assert not at_edge
 
@@ -1089,7 +1086,7 @@ class TestPolishFirst:
         x_tol, f_tol = _fit_tolerances(small_window, SearchBounds(), SearchSettings())
         outcome, at_edge = fitter._search_from_seed(
             walled(minimum), np.array([0.4, 12.0, 100.0]), x_tol, f_tol,
-            SearchSettings(), bowl_system(minimum), False)
+            SearchSettings(), bowl_system(minimum), False, [])
         [polish] = polished
         assert polish.converged
         assert outcome.x.tolist() == polish.x.tolist()
@@ -1121,7 +1118,8 @@ class TestPolishFirst:
             np.array(system_minimum))
         x_tol, f_tol = _fit_tolerances(small_window, SearchBounds(), SearchSettings())
         outcome, at_edge = fitter._search_from_seed(
-            walled(minimum), seed, x_tol, f_tol, SearchSettings(), system, False)
+            walled(minimum), seed, x_tol, f_tol, SearchSettings(), system, False,
+            [])
         first, last = polished
         [(start, best)] = simplexes
         assert not first.converged
@@ -1372,60 +1370,6 @@ class TestStopAtAKeptFit:
             f"the search kept no fit: {len(seeds)} seeds searched, "
             "0 abandoned past beta 2.0, 0 past the horizon, 0 stalled, "
             "0 outside the domain")
-
-
-# DEDUP_TOL, a radius whose multiples are rounded and one whose multiples
-# are exact, so a point moved by it lies exactly at the radius
-RADII = (fitter.DEDUP_TOL, (0.1, 0.7, 3.3), (0.25, 0.5, 4.0))
-
-
-@st.composite
-def points_and_a_check(draw):
-    """A radius, points in (beta, omega, t2c), and a point to check: often a
-    drawn point moved by exactly the radius, or by a float either side of
-    it, on some coordinates. Coordinates are often cell edges (multiples
-    of the radius) or the floats next to them; omega takes either sign."""
-    radius = draw(st.sampled_from(RADII))
-
-    def coordinate(r):
-        edge = st.integers(-20, 20).map(lambda k: k * r)
-        return st.one_of(edge, edge.map(lambda x: math.nextafter(x, math.inf)),
-                         edge.map(lambda x: math.nextafter(x, -math.inf)),
-                         st.floats(-20.0 * r, 20.0 * r))
-
-    point = st.tuples(*(coordinate(r) for r in radius))
-    points = draw(st.lists(point, max_size=12))
-    if points and draw(st.booleans()):
-        base = draw(st.sampled_from(points))
-        moves = [draw(st.sampled_from((0.0, r, -r, math.nextafter(r, 0.0),
-                                       -math.nextafter(r, 0.0),
-                                       math.nextafter(r, math.inf))))
-                 for r in radius]
-        checked = tuple(x + d for x, d in zip(base, moves))
-    else:
-        checked = draw(point)
-    return radius, points, checked
-
-
-class TestPointCells:
-    @hypothesis.settings(max_examples=300, deadline=None)
-    @given(points_and_a_check())
-    def test_the_cells_answer_as_a_scan_of_every_point(self, case):
-        radius, points, checked = case
-        cells = fitter._PointCells(radius)
-        for point in points:
-            cells.add(point)
-        assert cells.near(checked) == any(near_point(checked, point, radius)
-                                          for point in points)
-
-    def test_a_point_at_the_radius_is_not_near(self):
-        # a point on cell edges, checked from the cell below it in beta:
-        # at the radius, then one float inside it, either sign of omega
-        cells = fitter._PointCells((1.0, 1.0, 1.0))
-        cells.add((2.0, -3.0, 4.0))
-        assert not cells.near((1.0, 3.0, 4.0))
-        assert cells.near((math.nextafter(1.0, 2.0), 3.0, 4.0))
-        assert cells.near((math.nextafter(1.0, 2.0), -3.0, 4.0))
 
 
 def idle_runs(calls: list, objective, f_tol: float) -> list:
