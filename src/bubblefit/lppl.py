@@ -45,6 +45,15 @@ product of an array with its own transpose, X @ X.T, to syrk, which took
 bundled OpenBLAS 0.3.31, one thread, same VM: syrk and the gemv for
 X^T y 3.8-9.2 us against 0.9-1.5 us for the one gemm at n = 300 to
 1,150), while operands of different shapes go to gemm.
+
+A stack of points (`WindowSolver.rmse_many`) holds the same rows as
+planes: one contiguous (points, n) array per row y, 1, f, cos and sin.
+The elementwise passes that build the columns then run over each plane
+as one loop, where a (points, rows, n) layout gave numpy a strided view
+per column and with it one inner loop per point (the scan blocks of a
+reoptimized scan are about 67 points of 400 elements). The matmuls read
+each point's rows a plane apart, as a BLAS leading dimension, and make
+the same per-point calls as before.
 """
 
 from __future__ import annotations
@@ -69,9 +78,10 @@ _DET_MIN = 1e-13
 _EXP_MAX = 700.0
 # WindowSolver.rmse_many evaluates rows in blocks of about _BLOCK_BYTES of
 # design columns, and sends fewer than _MIN_BLOCK rows through rmse_at one
-# at a time: a stacked evaluation has a fixed cost of about four single
-# ones, and broke even at 8 to 16 rows for n = 300 to 1,150 (2-vCPU Xeon VM,
-# numpy 2.4.6)
+# at a time: a stacked evaluation has a fixed cost of four to nine single
+# ones, and broke even at 7 to 11 rows for n = 300 to 1,150 (costs fitted
+# over stacks of 2 to 20 rows, phase solved and held, three rounds; 2-vCPU
+# Xeon VM, numpy 2.4.6)
 _BLOCK_BYTES = 1 << 20
 _MIN_BLOCK = 10
 
@@ -459,20 +469,27 @@ class WindowSolver:
         """`solve` and `rmse` over a block of points that pass the domain
         checks and the overflow guard, +inf where a later rule rejects:
         `solve`'s helpers on (rows, n) arrays, with the rules as masks
-        instead of early returns."""
+        instead of early returns. Each design column is one contiguous
+        plane of the block, so every elementwise pass of `_fill_columns`
+        is one loop over the block (module docstring)."""
         beta, omega, t2c = stack[:, 0], stack[:, 1], stack[:, 2]
         phi = stack[:, 3, None] if stack.shape[1] == 4 else None
         k = 4 if phi is None else 3
-        rows, lg, w, product, coef, resid = (
-            buffer[:beta.size] for buffer in self._block_buffers(k))
+        columns, lg, w, product, coef, resid = self._block_buffers(k)
+        size = beta.size
+        columns, lg, w = columns[:, :size], lg[:size], w[:size]
+        product, coef, resid = product[:size], coef[:size], resid[:size]
         np.add(self.ages, t2c[:, None], lg)
         np.log(lg, lg)
-        sin = rows[:, 4] if k == 4 else None
-        _fill_columns(rows[:, 2], rows[:, 3], sin, lg, beta[:, None],
+        sin = columns[4] if k == 4 else None
+        _fill_columns(columns[2], columns[3], sin, lg, beta[:, None],
                       omega[:, None], phi, w)
         # per row the same BLAS routines as `solve`'s np.dot calls (gemm
         # for [X^T y | Gram], gemv for the fit, dot for the SSE), so every
-        # sum, and with it the value, is the same bit for bit
+        # sum, and with it the value, is the same bit for bit; a row's
+        # columns sit a plane apart, which BLAS takes as its leading
+        # dimension
+        rows = columns.transpose(1, 0, 2)
         design = rows[:, 1:]
         np.matmul(design, rows.transpose(0, 2, 1), product)
         p = product.transpose(1, 2, 0)
@@ -490,18 +507,19 @@ class WindowSolver:
     def _block_buffers(self, k: int) -> tuple:
         """`_rmse_block`'s buffers for k columns, held across calls so that
         a block's cost does not depend on the allocator: the rows y, 1 and
-        the design columns, log gaps, w, [X^T y | Gram], coefficients and
-        residuals of _block_rows(k) points."""
+        the design columns as k + 1 contiguous planes of _block_rows(k)
+        points by n (module docstring), then log gaps, w, [X^T y | Gram],
+        coefficients and residuals per point."""
         buffers = self.blocks.get(k)
         if buffers is None:
             size, n = self._block_rows(k), self.y.size
-            rows = np.empty((size, k + 1, n))
-            rows[:, 0] = self.y
-            rows[:, 1] = 1.0
+            columns = np.empty((k + 1, size, n))
+            columns[0] = self.y
+            columns[1] = 1.0
             coef = np.empty((size, 1, k + 1))
             coef[:, 0, 0] = -1.0
             buffers = self.blocks[k] = (
-                rows, np.empty((size, n)), np.empty((size, n)),
+                columns, np.empty((size, n)), np.empty((size, n)),
                 np.empty((size, k, k + 1)), coef, np.empty((size, 1, n)))
         return buffers
 

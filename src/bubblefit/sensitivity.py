@@ -51,6 +51,11 @@ class ScanSpec:
             raise UsageError(f"steps must be an odd integer >= 3 (got {self.steps!r})")
         if not 0 < self.half_width < math.inf:
             raise UsageError("half_width must be positive and finite")
+        if not math.isfinite(self.center):
+            raise UsageError(f"center must be finite (got {self.center!r})")
+        if not math.isfinite(abs(self.center) + self.half_width):
+            raise UsageError(f"center ± half_width must be finite (center "
+                             f"{self.center!r}, half_width {self.half_width!r})")
 
     def grid(self) -> np.ndarray:
         """Sample points, with the center reproduced exactly.

@@ -177,6 +177,26 @@ def test_stacked_kernel_matches_the_scalar_one(kernel_window, rows, held, repeat
     assert np.array_equal(many[finite], one[finite])
 
 
+@pytest.mark.parametrize("held", [False, True])
+def test_stacked_kernel_over_a_sequence_of_stack_sizes(kernel_window, held):
+    # one solver, so the block buffers are made once and reused: 5 rows go
+    # through rmse_at one at a time, 300 span several blocks with a partial
+    # last one at n = 1,150, 37 fit in one block at n = 300, and 37 and 61
+    # reuse buffers that a larger call filled
+    solver = WindowSolver(kernel_window)
+    rng = np.random.default_rng(27)
+    for size in (5, 300, 37, 300, 61):
+        points = np.column_stack([rng.uniform(0.1, 1.2, size),
+                                  rng.uniform(2.0, 15.0, size),
+                                  rng.uniform(1.0, 250.0, size),
+                                  rng.uniform(0.0, 2.0 * math.pi, size)])
+        points = points if held else points[:, :3]
+        many = solver.rmse_many(points)
+        one = np.array([solver.rmse_at(*p) for p in points.tolist()])
+        assert np.isfinite(one).mean() > 0.9
+        assert np.array_equal(many, one)
+
+
 @PROPERTY_SETTINGS
 @given(rows=st.lists(st.tuples(BETA, OMEGA, T2C, PHI), min_size=1, max_size=40))
 def test_held_phase_negative_omega_equals_its_mirror(noisy_window, rows):

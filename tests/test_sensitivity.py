@@ -86,6 +86,16 @@ class TestScanSpec:
         with pytest.raises(UsageError):
             ScanSpec("alpha", 0.33, 0.1)
 
+    @pytest.mark.parametrize("parameter, center, half_width, field", [
+        ("beta", math.nan, 0.5, "center"),
+        ("beta", math.inf, 0.5, "center"),
+        ("t2c", 1e308, 1e308, "center ± half_width"),
+    ], ids=["nan_center", "inf_center", "overflowing_ends"])
+    def test_rejects_a_grid_that_is_not_finite(self, parameter, center,
+                                               half_width, field):
+        with pytest.raises(UsageError, match=f"^{field} must be finite"):
+            ScanSpec(parameter, center, half_width)
+
     def test_grid_center_is_exact(self):
         spec = ScanSpec("omega", 6.3612345, 0.7, steps=41)
         grid = spec.grid()
